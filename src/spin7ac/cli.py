@@ -32,10 +32,13 @@ def _rational(text: str) -> Scalar:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError as exc:
+        raise InputError("JSON input is nested too deeply") from exc
 
 
 def data_path(name: str):
@@ -73,15 +76,21 @@ def _cmd_verify_algebra(args: argparse.Namespace) -> None:
 
 
 def _cmd_projectors(args: argparse.Namespace) -> None:
+    labels = {
+        f"{degree}_{dim}": (degree, dim)
+        for degree, dims in projectors.VALID_LABELS.items()
+        for dim in dims
+    }
+    if args.export and args.export not in labels:
+        raise InputError(f"no Spin(7) type {args.export!r}; expected one of {', '.join(labels)}")
     table = projectors.build_projectors()
     payload: dict = {"rank_table": table.rank_table(), "certified": True}
     if args.export:
-        degree_text, dim_text = args.export.split("_")
-        matrix = table.projector(int(degree_text), int(dim_text))
+        degree, dim = labels[args.export]
         payload["projector"] = {
             "label": args.export,
-            "basis": [",".join(map(str, key)) for key in monomial_basis(8, int(degree_text))],
-            "matrix": [[Scalar(x).to_json() for x in row] for row in matrix],
+            "basis": [",".join(map(str, key)) for key in monomial_basis(8, degree)],
+            "matrix": [[Scalar(x).to_json() for x in row] for row in table.projector(degree, dim)],
         }
     _emit(payload)
 
@@ -235,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
-    except (InputError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

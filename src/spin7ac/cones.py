@@ -33,6 +33,7 @@ from .errors import InputError
 from .linkexpr import (
     EMPTY_RELATIONS,
     Atom,
+    Duality,
     LinkExpr,
     Relations,
     Word,
@@ -113,15 +114,6 @@ class HomogeneousConeForm:
             return True
         return self.rate == other.rate and self.components == other.components
 
-    def renormalized(self, rules: Relations) -> "HomogeneousConeForm":
-        out = {}
-        for k, (alpha, beta) in self.components.items():
-            out[k] = (
-                None if alpha is None else normalize(alpha, rules),
-                None if beta is None else normalize(beta, rules),
-            )
-        return HomogeneousConeForm.build(self.rate, out)
-
     def to_json(self) -> dict:
         comps = []
         for k in sorted(self.components):
@@ -137,16 +129,18 @@ class HomogeneousConeForm:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "HomogeneousConeForm":
-        rate = Scalar.from_json(obj["rate"])
         comps: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
-        for item in obj.get("components", []):
-            k = int(item["degree"])
-            alpha = item.get("alpha")
-            beta = item.get("beta")
-            comps[k] = (
-                None if alpha is None else LinkExpr.from_json(alpha),
-                None if beta is None else LinkExpr.from_json(beta),
-            )
+        try:
+            rate = Scalar.from_json(obj["rate"])
+            for item in obj.get("components", []):
+                alpha = item.get("alpha")
+                beta = item.get("beta")
+                comps[int(item["degree"])] = (
+                    None if alpha is None else LinkExpr.from_json(alpha),
+                    None if beta is None else LinkExpr.from_json(beta),
+                )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed cone-form JSON: {exc}") from exc
         return cls.build(rate, comps)
 
 
@@ -243,14 +237,6 @@ def _collect(rate: Scalar, out: dict[int, list[LinkExpr | None]]) -> Homogeneous
 # -- nearly parallel structure and ASD characterization -------------------
 
 
-def nearly_parallel_phi() -> tuple[Atom, Relations]:
-    """The abstract G2 3-form with its nearly parallel relation d phi = 4 *phi."""
-    phi = Atom("phi", 3)
-    rules = Relations()
-    rules.declare_nearly_parallel(phi, 4)
-    return phi, rules
-
-
 def psi_cone(declare_nearly_parallel: bool = True) -> tuple[HomogeneousConeForm, Relations]:
     """psi_C = r^3 dr ^ phi + r^4 *phi as a rate-0 homogeneous 4-form."""
     phi = Atom("phi", 3)
@@ -287,7 +273,7 @@ class AsdClosedCondition:
             rules.harmonic.add(alpha.name)
         else:
             assert self.coefficient is not None
-            rules.duality[alpha.name] = _duality(self.coefficient, alpha)
+            rules.duality[alpha.name] = Duality(self.coefficient, alpha)
         return rules
 
     def to_json(self) -> dict:
@@ -297,12 +283,6 @@ class AsdClosedCondition:
             "coefficient": None if self.coefficient is None else self.coefficient.to_json(),
             "equation": self.equation_text(),
         }
-
-
-def _duality(coeff: Scalar, atom: Atom):
-    from .linkexpr import Duality
-
-    return Duality(coeff, atom)
 
 
 def asd_closed_condition(lam: Scalar | int) -> AsdClosedCondition:

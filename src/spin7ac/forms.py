@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 IndexTuple = tuple[int, ...]
 
@@ -167,13 +167,12 @@ class Form:
     def from_json(cls, obj: Mapping) -> "Form":
         try:
             n, k = int(obj["n"]), int(obj["k"])
-            raw = obj.get("terms", {})
-        except (KeyError, TypeError) as exc:
+            terms = {
+                tuple(int(part) for part in key.split(",")) if key else (): Scalar.from_json(value)
+                for key, value in obj.get("terms", {}).items()
+            }
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed form JSON: {exc}") from exc
-        terms: dict[IndexTuple, Scalar] = {}
-        for key, value in raw.items():
-            indices = tuple(int(part) for part in key.split(",")) if key else ()
-            terms[indices] = Scalar.from_json(value)
         return cls(n, k, terms)
 
 
@@ -245,7 +244,6 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.n != other.n:
             raise InputError("matrix dimension mismatch")
-        n = self.n
         cols = list(zip(*other.rows))
         return Matrix(
             [
@@ -253,9 +251,6 @@ class Matrix:
                 for row in self.rows
             ]
         )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
 
     def scale(self, factor: Scalar | int) -> "Matrix":
         f = Scalar.coerce(factor)
@@ -361,47 +356,25 @@ def volume_form(n: int) -> Form:
     return Form.monomial(n, tuple(range(1, n + 1)))
 
 
-def _det(rows: list[list[Scalar]]) -> Scalar:
-    """Determinant by Laplace expansion on the first row (k <= 8)."""
-    size = len(rows)
-    if size == 0:
-        return ONE
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ZERO
-    for col in range(size):
-        pivot = rows[0][col]
-        if pivot.is_zero():
-            continue
-        minor = [r[:col] + r[col + 1 :] for r in rows[1:]]
-        term = pivot * _det(minor)
-        total = total + (term if col % 2 == 0 else -term)
-    return total
-
-
 def pullback(m: Matrix, a: Form) -> Form:
     """Pullback (m^* a)(v_1, ..., v_k) = a(m v_1, ..., m v_k).
 
-    Functorial in the contravariant sense:
+    Built from wedge: m^* dx_I = m^* dx_i1 ^ ... ^ m^* dx_ik with
+    m^* dx_i = sum_j m_ij dx_j.  Functorial in the contravariant sense:
     pullback(m @ g, a) == pullback(g, pullback(m, a)).
     """
     if m.n != a.n:
         raise InputError(f"dimension mismatch: R^{m.n} vs R^{a.n}")
     if a.k == 0:
         return a
-    terms: dict[IndexTuple, Scalar] = {}
-    for target in combinations(range(1, a.n + 1), a.k):
-        total = ZERO
-        for key, value in a.terms.items():
-            sub = [[m.entry(i, j) for j in target] for i in key]
-            d = _det(sub)
-            if not d.is_zero():
-                total = total + value * d
-        if not total.is_zero():
-            terms[target] = total
-    return Form(a.n, a.k, terms)
+    rows = [Form(a.n, 1, {(j,): x for j, x in enumerate(row, 1)}) for row in m.rows]
+    total = Form.zero(a.n, a.k)
+    for key, value in a.terms.items():
+        term = rows[key[0] - 1].scale(value)
+        for i in key[1:]:
+            term = wedge(term, rows[i - 1])
+        total = total + term
+    return total
 
 
 def gl_inf_action(m: Matrix, a: Form) -> Form:

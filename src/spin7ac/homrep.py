@@ -46,7 +46,6 @@ from .scalars import SQRT5, SQRT581, SQRT2905, ZERO, Scalar
 # kappa rescales the squashed metric between scalar curvature 42 and the
 # naturally reductive normalization: tau_0 = 12/sqrt(5) and tau_0 = 4/kappa
 # give kappa = sqrt(5)/3, kappa^2 = 5/9.
-KAPPA_SQUARED = Scalar(Fraction(5, 9))
 KAPPA_INVERSE = Scalar(3) / SQRT5  # 3/sqrt5 = (3/5) sqrt5
 
 

@@ -14,8 +14,8 @@ ever discretized; the calculus consists of the operator identities
 plus optional declared relations per atom (closed, co-closed, Laplace
 eigenform, duality d a = c * b).  The codifferential is eliminated via
 the bridge identity wherever the star is defined (degrees 1..7); it
-survives as a primitive letter only on formal degree-8 atoms, which the
-rate-classification engine carries through the recursion exactly as the
+survives as a primitive letter only on the formal degrees 8 and 9, which
+the rate-classification engine carries through the recursion exactly as the
 source analysis does.
 
 Words are stored outermost-first: ('d', 's') applied to a means d(s(a)).
@@ -151,9 +151,6 @@ class LinkExpr:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def atoms(self) -> set[Atom]:
-        return {atom for (_, atom) in self.terms}
 
     def __add__(self, other: "LinkExpr") -> "LinkExpr":
         if other.is_zero():
@@ -345,9 +342,9 @@ def _apply_ops(
                 if degree % 2:
                     coeff = -coeff
                 pending.extend(("s", "d", "s"))
-            elif degree == 8:
+            elif degree in (8, 9):
                 applied.append("t")
-                degree = 7
+                degree -= 1
             else:
                 raise InputError(f"codifferential undefined on degree {degree}")
         else:

@@ -154,17 +154,17 @@ class LinkData:
                 )
                 for item in obj.get("contributions", [])
             )
-            return cls(
+            fields = dict(
                 name=str(obj.get("name", "")),
                 dim_h4_minus_l2=int(obj["dim_h4_minus_L2"]),
                 dim_im_upsilon4=int(obj["dim_im_upsilon4"]),
-                contributions=contributions,
                 critical_rates=tuple(
                     scalar_of(x) for x in obj.get("critical_rates", [])
                 ),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed link data: {exc}") from exc
+        return cls(contributions=contributions, **fields)
 
     @classmethod
     def load(cls, path: str) -> "LinkData":

@@ -18,6 +18,7 @@ orderings), so results are deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .forms import Form, form_to_coefficients, gl_inf_action, monomial_basis
+from .forms import (
+    Form,
+    Matrix,
+    form_to_coefficients,
+    gl_inf_action,
+    monomial_basis,
+    norm_squared,
+)
 from .projectors import build_projectors, psi0, sym0_matrix_basis
 from .scalars import Scalar
 
@@ -90,10 +98,8 @@ def _tables():
     psi = psi0()
     psi_vec = _form_to_float(psi)
     # gl_inf_action(B, .) as a 70x70 matrix per W-basis element B.
-    from .forms import Matrix as ExactMatrix
-
     glact = []
-    exact_w = [ExactMatrix.identity(8)] + sym0_matrix_basis() + list(
+    exact_w = [Matrix.identity(8)] + sym0_matrix_basis() + list(
         table.lambda2_7_matrices
     )
     for b in exact_w:
@@ -185,14 +191,14 @@ def form_to_lambda4_vector(a: Form) -> np.ndarray:
 
 
 def _check_eta(eta_vec: np.ndarray, exact: Form | None, tol: float) -> None:
+    if not np.isfinite(eta_vec).all():
+        raise InputError("eta has non-finite coefficients")
     t = _tables()
     norm = float(np.linalg.norm(eta_vec))
     if exact is not None:
         table = build_projectors()
         if table.apply(4, 35, exact) != exact:
             raise InputError("eta is not anti-self-dual (exact type check failed)")
-        from .forms import norm_squared
-
         if not (norm_squared(exact) < Scalar(Fraction(1, 100))):
             raise InputError(f"|eta| >= {EPSILON_BALL} (outside the admissible ball)")
     else:
@@ -212,8 +218,8 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
     exactly, float vectors up to roundoff.  Raises if Newton fails to
     reach ``tol`` within 50 iterations (eta outside the basin).
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, not {tol!r}")
     t = _tables()
     if isinstance(eta, Form):
         eta_vec = form_to_lambda4_vector(eta)

@@ -13,7 +13,8 @@ The table of exact orthogonal projectors is built from first principles:
 
 Every projector is certified exact: symmetric, idempotent, with trace
 (= rank, for a symmetric idempotent) equal to the advertised dimension,
-mutually annihilating and summing to the identity per degree.
+mutually annihilating and summing to the identity per degree.  The checks
+run on integer numerators over each degree's common denominator.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import ratmat
 from .errors import InputError, InternalCheckError
@@ -35,6 +37,7 @@ from .forms import (
     hodge_star,
     inner_product,
     interior_product,
+    merge_sign,
     monomial_basis,
     norm_squared,
 )
@@ -99,16 +102,6 @@ def antisym_matrix_from_form(omega: Form) -> Matrix:
         entries[(i, j)] = value
         entries[(j, i)] = -value
     return Matrix.from_entries(omega.n, entries)
-
-
-def form_from_antisym_matrix(m: Matrix) -> Form:
-    terms = {}
-    for i in range(1, m.n + 1):
-        for j in range(i + 1, m.n + 1):
-            value = m.entry(i, j)
-            if not value.is_zero():
-                terms[(i, j)] = value
-    return Form(m.n, 2, terms)
 
 
 def _rational_vector(a: Form, basis: list[IndexTuple]) -> list[Fraction]:
@@ -282,19 +275,37 @@ def _projector_column_space(p: ratmat.RatMatrix, expected: int) -> list[list[Fra
 
 
 def _certify(table: dict[TypeLabel, ratmat.RatMatrix]) -> None:
-    for (degree, dim), p in table.items():
-        ratmat.certify_projector(p, dim, label=f"Lambda^{degree}_{dim}")
+    """Check every projector identity exactly, in integers.
+
+    Per degree, each P_a is scaled to N_a = D * P_a over the least common
+    denominator D of the degree's entries; then N_a = N_a^T, N_a N_a =
+    D N_a, tr N_a = D dim_a (for a symmetric idempotent the trace is the
+    rank), N_a N_b = 0 for a != b and sum_a N_a = D Id.
+    """
     for degree, dims in VALID_LABELS.items():
-        size = len(monomial_basis(8, degree))
-        total = ratmat.zeros(size, size)
-        for dim in dims:
-            total = ratmat.mat_add(total, table[(degree, dim)])
-        if total != ratmat.identity(size):
+        denom = lcm(*(x.denominator for dim in dims for row in table[(degree, dim)] for x in row))
+        scaled = {
+            dim: [[int(x * denom) for x in row] for row in table[(degree, dim)]]
+            for dim in dims
+        }
+        for dim, n in scaled.items():
+            label = f"Lambda^{degree}_{dim}"
+            if not ratmat.is_symmetric(n):
+                raise InternalCheckError(f"projector {label}: not symmetric")
+            if ratmat.mat_mul(n, n) != ratmat.mat_scale(n, denom):
+                raise InternalCheckError(f"projector {label}: not idempotent")
+            if ratmat.trace(n) != denom * dim:
+                raise InternalCheckError(
+                    f"projector {label}: trace {Fraction(ratmat.trace(n), denom)} "
+                    f"!= expected rank {dim}"
+                )
+        total = [[sum(column) for column in zip(*rows)] for rows in zip(*scaled.values())]
+        if total != ratmat.mat_scale(ratmat.identity(len(total)), denom):
             raise InternalCheckError(f"degree-{degree} projectors do not sum to Id")
         for i, da in enumerate(dims):
             for db in dims[i + 1 :]:
-                prod = ratmat.mat_mul(table[(degree, da)], table[(degree, db)])
-                if any(any(x != 0 for x in row) for row in prod):
+                prod = ratmat.mat_mul(scaled[da], scaled[db])
+                if any(any(row) for row in prod):
                     raise InternalCheckError(
                         f"Lambda^{degree}_{da} and Lambda^{degree}_{db} are not orthogonal"
                     )
@@ -344,8 +355,6 @@ def star7_slice(a: Form) -> Form:
 
     Orientation dx_2 ^ ... ^ dx_8 positive, matching vol_8 = dx_1 ^ vol_7.
     """
-    from .forms import merge_sign
-
     full = tuple(range(2, 9))
     terms = {}
     for key, value in a.terms.items():

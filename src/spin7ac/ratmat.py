@@ -1,10 +1,12 @@
 """Exact rational linear algebra for projector construction.
 
-All matrices here are dense lists of lists of ``Fraction``.  Rank and
-nullspace computations clear denominators and run fraction-free
-(Bareiss-style) integer elimination, which keeps intermediate entries as
-minors of the scaled matrix instead of letting rational complexity blow
-up during 70x70 eliminations.
+Matrices are dense lists of lists of ``Fraction``; the arithmetic helpers
+(``mat_mul``, ``trace``, ``is_symmetric``, ...) work unchanged on ``int``
+entries, which is how the projector certificate uses them.  Rank
+computations clear denominators and run fraction-free (Bareiss-style)
+integer elimination, which keeps intermediate entries as minors of the
+scaled matrix instead of letting rational complexity blow up during 70x70
+eliminations.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-from .errors import InternalCheckError
 
 RatMatrix = list[list[Fraction]]
 RatVector = list[Fraction]
@@ -35,6 +35,7 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def mat_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
+
 def mat_sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
@@ -45,10 +46,6 @@ def mat_scale(a: RatMatrix, s: Fraction) -> RatMatrix:
 
 def transpose(a: RatMatrix) -> RatMatrix:
     return [list(row) for row in zip(*a)]
-
-
-def mat_vec(a: RatMatrix, v: Sequence[Fraction]) -> RatVector:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -167,20 +164,3 @@ def projector_onto_span(vectors: Sequence[Sequence[Fraction]], dim: int) -> RatM
             for j in range(dim):
                 p[i][j] += b[i] * b[j] / nb
     return p
-
-
-def certify_projector(p: RatMatrix, expected_rank: int, label: str = "") -> None:
-    """Check P^2 = P, P = P^T and tr P = expected rank.
-
-    For a symmetric idempotent matrix the eigenvalues are 0 and 1, so the
-    exact trace equals the exact rank; this certifies the rank without a
-    second elimination.
-    """
-    if not is_symmetric(p):
-        raise InternalCheckError(f"projector {label}: not symmetric")
-    if mat_mul(p, p) != p:
-        raise InternalCheckError(f"projector {label}: not idempotent")
-    if trace(p) != expected_rank:
-        raise InternalCheckError(
-            f"projector {label}: trace {trace(p)} != expected rank {expected_rank}"
-        )

@@ -292,12 +292,18 @@ class Scalar:
     @classmethod
     def from_json(cls, obj: "dict[str, str] | str | int") -> "Scalar":
         if isinstance(obj, (str, int)):
-            return cls.rational(obj)
-        unknown = set(obj) - set(_SURD_KEYS)
-        if unknown:
-            raise InputError(f"unknown scalar keys {sorted(unknown)}")
-        vals = [Fraction(obj.get(tag, "0")) for tag in _SURD_KEYS]
-        return cls(*vals)
+            parts = [obj]
+        elif isinstance(obj, dict):
+            unknown = set(obj) - set(_SURD_KEYS)
+            if unknown:
+                raise InputError(f"unknown scalar keys {sorted(unknown)}")
+            parts = [obj.get(tag, 0) for tag in _SURD_KEYS]
+        else:
+            raise InputError(f"malformed scalar JSON: {obj!r}")
+        try:
+            return cls(*parts)  # the constructor refuses floats
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed scalar JSON: {exc}") from exc
 
 
 def sqrt_rational(q: Fraction) -> Scalar | None:

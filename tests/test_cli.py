@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin7ac.cli import main
 
@@ -206,3 +210,115 @@ def test_byte_determinism(capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "decompose", "--form", "/nonexistent/f.json")
     assert code == 3 and err
+
+
+_FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["decompose", "--form"], {"n": "x", "k": 4, "terms": {}}),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": 0.1}}),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": {"1": 0.5}}}),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": {"1": "1/0"}}}),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": ["1,2,3,4"]}),
+        (["moduli-dim", "--nu=-1", "--link"], [1, 2]),
+        (["cone-op", "--op", "d", "--form"], [{"rate": "0"}]),
+        (["pi-theta", "--tol", "nan", "--form"], _FORM),
+        (["decompose", "--form"], b'{"n": 8, "k": 4, "terms": {"\xff": "1"}}'),
+        (["decompose", "--form"], b"[" * 100_000 + b"]" * 100_000),
+        (["projectors", "--export", "4"], None),
+    ],
+    ids=[
+        "n-not-an-integer", "float-term", "float-surd-part", "zero-denominator", "terms-list",
+        "link-list", "cone-list", "tol-nan", "not-utf8", "nested-too-deep",
+        "export-without-dim",
+    ],
+)
+def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):
+    if payload is not None:
+        path = tmp_path / "input.json"
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(json.dumps(payload))
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- property test: malformed JSON never escapes as a traceback ------------
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_scalar = st.sampled_from(
+    ["1/2", "-3", 0, 7, {"1": "1/3", "sqrt5": "-2"}, "1/0", "x", 0.5, {"1": 0.5}, {"sqrt7": "1"}]
+) | _json
+_small = st.integers(-2, 10) | _json
+
+
+def _obj(required=None, **optional):
+    """A JSON object with the given keys, or arbitrary JSON in its place."""
+    return st.fixed_dictionaries(required or {}, optional=optional) | _json
+
+
+_form = _obj(
+    {
+        "n": st.sampled_from([8, 7, "8", "x", None]),
+        "k": st.sampled_from([4, 2, 3, "4", -1, 9, None]),
+    },
+    terms=st.dictionaries(
+        st.sampled_from(["1,2,3,4", "5,6,7,8", "2,4,6,8", "1,2", "3,2", "1,2,3,9", "a", ""]),
+        _scalar,
+        max_size=3,
+    ),
+)
+_link = _obj(
+    {"dim_h4_minus_L2": _small, "dim_im_upsilon4": _small},
+    contributions=st.lists(
+        _obj(**{"lambda": _scalar | st.builds(dict, value=_scalar), "dim_E": _small}), max_size=2
+    ),
+    critical_rates=st.lists(_scalar, max_size=2),
+)
+_atom = _obj({"name": st.sampled_from(["a", "b"]), "degree": _small})
+_ops = st.lists(st.sampled_from(["d", "s", "t", "x"]), max_size=4)
+_link_expr = st.none() | _obj(
+    {"degree": _small},
+    terms=st.lists(_obj({"coeff": _scalar, "atom": _atom}, ops=_ops), max_size=2),
+)
+_cone = _obj(
+    {"rate": _scalar},
+    components=st.lists(_obj({"degree": _small}, alpha=_link_expr, beta=_link_expr), max_size=2),
+)
+
+
+def _exit_code(tmp_path_factory, argv: list[str], payload) -> int:
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv + [str(path)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_form)
+def test_form_json_parser_never_crashes(tmp_path_factory, payload):
+    assert _exit_code(tmp_path_factory, ["decompose", "--form"], payload) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_link)
+def test_link_json_parser_never_crashes(tmp_path_factory, payload):
+    assert _exit_code(tmp_path_factory, ["moduli-dim", "--nu=-1", "--link"], payload) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from(["d", "star", "dstar", "laplacian"]), payload=_cone)
+def test_cone_json_parser_never_crashes(tmp_path_factory, op, payload):
+    assert _exit_code(tmp_path_factory, ["cone-op", "--op", op, "--form"], payload) in (0, 2, 3)

@@ -133,6 +133,21 @@ def test_rejects_large_eta():
 def test_rejects_bad_tol():
     with pytest.raises(InputError):
         pi_theta(Form.zero(8, 4), tol=0.0)
+    eta = (Form.monomial(8, (1, 2, 3, 4)) - Form.monomial(8, (5, 6, 7, 8))).scale(
+        Scalar(Fraction(1, 20))
+    )
+    for tol in (math.nan, math.inf):
+        with pytest.raises(InputError, match="tol"):
+            pi_theta(eta, tol=tol)
+
+
+def test_rejects_non_finite_eta():
+    with pytest.raises(InputError, match="non-finite"):
+        pi_theta(np.full(70, np.nan))
+    eta = random_asd(np.random.default_rng(108), 0.05)
+    eta[3] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        pi_theta(eta)
 
 
 def test_compound_is_pullback():

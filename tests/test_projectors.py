@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spin7ac import ratmat
-from spin7ac.errors import InputError
+from spin7ac.errors import InputError, InternalCheckError
 from spin7ac.forms import (
     Form,
     Matrix,
@@ -21,6 +21,7 @@ from spin7ac.forms import (
 )
 from spin7ac.projectors import (
     PSI0_TERMS,
+    _certify,
     antisym_matrix_from_form,
     decompose,
     g2_phi_eight,
@@ -213,3 +214,36 @@ def test_antisym_round_trip():
     m = antisym_matrix_from_form(omega)
     assert m.entry(1, 2) == Scalar(3)
     assert m.entry(2, 1) == Scalar(-3)
+
+
+def _broken_copy(table, label, edit):
+    copy = {key: [list(row) for row in p] for key, p in table.projectors.items()}
+    edit(copy[label])
+    return copy
+
+
+def _off_diagonal(p):
+    p[0][1] += Fraction(1, 4)
+
+
+def _diagonal(p):
+    p[0][0] += Fraction(1, 4)
+
+
+def _other_rank7_projector(p):
+    # symmetric, idempotent and of trace 7, but not the Lambda^2_7 projector
+    for i, row in enumerate(p):
+        row[:] = [Fraction(int(i == j and i < 7)) for j in range(len(row))]
+
+
+@pytest.mark.parametrize(
+    "label, edit, message",
+    [
+        ((2, 7), _off_diagonal, "not symmetric"),
+        ((3, 48), _diagonal, "not idempotent"),
+        ((2, 7), _other_rank7_projector, "sum to Id|not orthogonal"),
+    ],
+)
+def test_certificate_rejects_broken_tables(table, label, edit, message):
+    with pytest.raises(InternalCheckError, match=message):
+        _certify(_broken_copy(table, label, edit))
