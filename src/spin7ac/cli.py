@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from . import cones, homrep, moduli, pitheta, projectors
@@ -26,7 +25,9 @@ def _emit(payload: dict) -> None:
 
 def _rational(text: str) -> Scalar:
     try:
-        return Scalar(Fraction(text))
+        return Scalar(text)
+    except InputError:  # a literal past the size bound
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
 
@@ -39,6 +40,8 @@ def _read_json(path: str) -> dict:
             return json.load(handle)
     except RecursionError as exc:
         raise InputError("JSON input is nested too deeply") from exc
+    except ValueError as exc:  # also an integer past the int-to-str digit limit
+        raise InputError(str(exc)) from exc
 
 
 def data_path(name: str):

@@ -43,7 +43,7 @@ from .linkexpr import (
     normalize,
     star_link,
 )
-from .scalars import ONE, ZERO, Scalar, sqrt_rational
+from .scalars import ONE, ZERO, Scalar, sqrt_rational, strict_int
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class HomogeneousConeForm:
             for item in obj.get("components", []):
                 alpha = item.get("alpha")
                 beta = item.get("beta")
-                comps[int(item["degree"])] = (
+                comps[strict_int(item["degree"], "cone degree")] = (
                     None if alpha is None else LinkExpr.from_json(alpha),
                     None if beta is None else LinkExpr.from_json(beta),
                 )
@@ -149,8 +149,7 @@ def _add_opt(x: LinkExpr | None, y: LinkExpr | None) -> LinkExpr | None:
         return y
     if y is None:
         return x
-    s = x + y
-    return None if s.is_zero() else s
+    return x + y
 
 
 # -- the four cone operators ----------------------------------------------
@@ -438,7 +437,7 @@ def _first_order_equations(
     equations = []
     for k, (alpha, beta) in total.components.items():
         for expr in (alpha, beta):
-            if expr is not None and not expr.is_zero():
+            if expr is not None:
                 equations.append(expr)
     return equations
 

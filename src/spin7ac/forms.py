@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, strict_int
 
 IndexTuple = tuple[int, ...]
 
@@ -61,7 +61,10 @@ def merge_sign(left: IndexTuple, right: IndexTuple) -> int:
 
 
 class Form:
-    """Alternating k-form over R^n with Scalar coefficients."""
+    """Alternating k-form over R^n with Scalar coefficients.
+
+    The constructor drops zero coefficients, so sums may leave them in.
+    """
 
     __slots__ = ("n", "k", "terms")
 
@@ -116,11 +119,7 @@ class Form:
         self._check_match(other)
         terms = dict(self.terms)
         for key, value in other.terms.items():
-            s = terms.get(key, ZERO) + value
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            terms[key] = terms.get(key, ZERO) + value
         return Form(self.n, self.k, terms)
 
     def __neg__(self) -> "Form":
@@ -166,7 +165,7 @@ class Form:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Form":
         try:
-            n, k = int(obj["n"]), int(obj["k"])
+            n, k = strict_int(obj["n"], "n"), strict_int(obj["k"], "k")
             terms = {
                 tuple(int(part) for part in key.split(",")) if key else (): Scalar.from_json(value)
                 for key, value in obj.get("terms", {}).items()
@@ -293,11 +292,7 @@ def wedge(a: Form, b: Form) -> Form:
             if sign == 0:
                 continue
             key = tuple(sorted(left + right))
-            value = terms.get(key, ZERO) + cl * cr * sign
-            if value.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = value
+            terms[key] = terms.get(key, ZERO) + cl * cr * sign
     return Form(a.n, k, terms)
 
 
@@ -329,11 +324,7 @@ def interior_product(v: Vector, a: Form) -> Form:
                 continue
             reduced = key[:pos] + key[pos + 1 :]
             sign = -1 if pos % 2 else 1
-            new = terms.get(reduced, ZERO) + value * comp * sign
-            if new.is_zero():
-                terms.pop(reduced, None)
-            else:
-                terms[reduced] = new
+            terms[reduced] = terms.get(reduced, ZERO) + value * comp * sign
     return Form(a.n, a.k - 1, terms)
 
 
@@ -397,11 +388,7 @@ def gl_inf_action(m: Matrix, a: Form) -> Form:
                 sorted_key, sign = sort_with_sign(candidate)
                 if sign == 0:
                     continue
-                new = terms.get(sorted_key, ZERO) + value * coeff * sign
-                if new.is_zero():
-                    terms.pop(sorted_key, None)
-                else:
-                    terms[sorted_key] = new
+                terms[sorted_key] = terms.get(sorted_key, ZERO) + value * coeff * sign
     return Form(a.n, a.k, terms)
 
 

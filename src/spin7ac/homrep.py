@@ -29,8 +29,10 @@ from the printed list, with its obstruction left explicitly unresolved
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
 from .errors import InputError
 from .forms import Form, hodge_star, wedge
 from .moduli import (
@@ -65,12 +67,14 @@ class IrrepLabel:
         return f"({self.k1},{self.k2},{self.l})"
 
 
+def _scaled_casimir(k1: int, k2: int, l: int) -> int:
+    """N = -24 Cas(k1,k2,l): an integer >= 0, strictly increasing in each index."""
+    return 2 * (k1 * k1 + 4 * k1 + k2 * k2 + 2 * k2) + 3 * (l * l + 2 * l)
+
+
 def casimir(label: IrrepLabel) -> Scalar:
     """Casimir eigenvalue of V(k1,k2) (x) V(l) w.r.t. minus the Killing form."""
-    k1, k2, l = label.k1, label.k2, label.l
-    sp2 = Fraction(4 * k1 + k1 * k1 + 2 * k2 + k2 * k2, 12)
-    sp1 = Fraction(2 * l + l * l, 8)
-    return Scalar(-sp2 - sp1)
+    return Scalar(Fraction(-_scaled_casimir(label.k1, label.k2, label.l), 24))
 
 
 # Eigenvalue pairs exactly as printed in the source computation; compared
@@ -126,10 +130,10 @@ class CasimirRecord:
 
 
 def _record(label: IrrepLabel) -> CasimirRecord:
-    cas = casimir(label)
+    cas = Fraction(-_scaled_casimir(label.k1, label.k2, label.l), 24)
     mu = cas * Fraction(-40, 3)
     mu_squashed = mu * Fraction(9, 5)
-    lambdas = tuple(lambda_of_mu(mu)) if mu > Scalar(Fraction(-1, 9)) else ()
+    lambdas = tuple(lambda_of_mu(mu)) if mu > Fraction(-1, 9) else ()
     printed = _PAPER_PRINTED.get((label.k1, label.k2, label.l))
     consistent: bool | None = None
     if printed is not None:
@@ -140,9 +144,9 @@ def _record(label: IrrepLabel) -> CasimirRecord:
             consistent = False
     return CasimirRecord(
         label=label,
-        casimir=cas,
-        mu_scal42=mu,
-        mu_squashed=mu_squashed,
+        casimir=Scalar(cas),
+        mu_scal42=Scalar(mu),
+        mu_squashed=Scalar(mu_squashed),
         lambdas=lambdas,
         paper_listed=printed is not None,
         paper_mu=None if printed is None else printed.get("mu"),
@@ -150,6 +154,12 @@ def _record(label: IrrepLabel) -> CasimirRecord:
         paper_lambda_printed=None if printed is None else printed.get("lambda_printed"),
         consistent_with_paper=consistent,
     )
+
+
+# Deepest admitted window: lo >= -MAX_WINDOW_DEPTH.  The label count grows
+# like depth^2; (-200, 0] holds 23,451 labels and takes a few seconds, and
+# a deeper window is refused (exit 3) rather than left to run for minutes.
+MAX_WINDOW_DEPTH = 200
 
 
 def enumerate_candidates(
@@ -160,42 +170,35 @@ def enumerate_candidates(
 ) -> list[CasimirRecord]:
     """All labels with Casimir in the window, exhaustively.
 
-    The Casimir is strictly decreasing in k1, k2 and l separately, so
-    each loop runs until its 0-extension drops below the lower bound;
-    every label outside the visited frontier then has a strictly smaller
-    Casimir, which proves exhaustion.  Sorted by decreasing Casimir.
+    Works on the integer N = -24 Cas, which is strictly increasing in k1,
+    k2 and l separately, so each loop runs until N passes the window's
+    top; every label outside the visited frontier then has a larger N,
+    which proves exhaustion.  Sorted by decreasing Casimir, then label.
     """
-    lo = Scalar.coerce(lo)
-    hi = Scalar.coerce(hi)
+    lo, hi = Scalar.coerce(lo), Scalar.coerce(hi)
+    if not (lo.is_rational() and hi.is_rational()):
+        raise InputError("Casimir window bounds must be rational")
+    lo, hi = lo.as_fraction(), hi.as_fraction()
     if hi < lo:
         raise InputError("empty window: hi < lo")
-
-    def above_lo(c: Scalar) -> bool:
-        return c > lo if not include_lo else c >= lo
-
-    def in_window(c: Scalar) -> bool:
-        upper = c < hi if not include_hi else c <= hi
-        return above_lo(c) and upper
-
-    records: list[CasimirRecord] = []
+    if lo < -MAX_WINDOW_DEPTH:
+        raise InputError(f"Casimir window reaches below -{MAX_WINDOW_DEPTH}")
+    # lo < Cas <= hi  <=>  -24 hi <= N < -24 lo, with the ends per the flags
+    n_min = math.ceil(-24 * hi) if include_hi else math.floor(-24 * hi) + 1
+    n_max = math.floor(-24 * lo) if include_lo else math.ceil(-24 * lo) - 1
+    found: list[tuple[int, int, int, int]] = []
     k1 = 0
-    while True:
-        if not above_lo(casimir(IrrepLabel(k1, 0, 0))):
-            break
-        for k2 in range(0, k1 + 1):
-            if not above_lo(casimir(IrrepLabel(k1, k2, 0))):
-                break
+    while _scaled_casimir(k1, 0, 0) <= n_max:
+        k2 = 0
+        while k2 <= k1 and _scaled_casimir(k1, k2, 0) <= n_max:
             l = 0
-            while True:
-                cas = casimir(IrrepLabel(k1, k2, l))
-                if not above_lo(cas):
-                    break
-                if in_window(cas):
-                    records.append(_record(IrrepLabel(k1, k2, l)))
+            while (n := _scaled_casimir(k1, k2, l)) <= n_max:
+                if n >= n_min:
+                    found.append((n, k1, k2, l))
                 l += 1
+            k2 += 1
         k1 += 1
-    records.sort(key=lambda r: (-float(r.casimir), (r.label.k1, r.label.k2, r.label.l)))
-    return records
+    return [_record(IrrepLabel(k1, k2, l)) for _, k1, k2, l in sorted(found)]
 
 
 def rescale_torsion_constant(c_scal42: Scalar | int | Fraction) -> Scalar:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, strict_int
 
 Word = tuple[str, ...]
 
@@ -53,7 +53,7 @@ class Atom:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Atom":
-        return cls(str(obj["name"]), int(obj["degree"]))
+        return cls(str(obj["name"]), strict_int(obj["degree"], "atom degree"))
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,6 @@ class Relations:
     harmonic: set[str] = field(default_factory=set)
     monomial_zeros: set[tuple[Word, Atom]] = field(default_factory=set)
 
-    def copy(self) -> "Relations":
-        return Relations(
-            closed=set(self.closed),
-            coclosed=set(self.coclosed),
-            eigen=dict(self.eigen),
-            duality=dict(self.duality),
-            zero=set(self.zero),
-            harmonic=set(self.harmonic),
-            monomial_zeros=set(self.monomial_zeros),
-        )
-
     def declare_nearly_parallel(self, phi: Atom, torsion: Scalar | int = 4) -> None:
         """Declare d phi = torsion * (star phi), the nearly parallel relation."""
         self.duality[phi.name] = Duality(Scalar.coerce(torsion), phi)
@@ -121,7 +110,10 @@ def _word_degree(applied: Iterable[str], start: int) -> int:
 
 
 class LinkExpr:
-    """Exact linear combination of operator words applied to atoms."""
+    """Exact linear combination of operator words applied to atoms.
+
+    The constructor drops zero coefficients, so sums may leave them in.
+    """
 
     __slots__ = ("degree", "terms")
 
@@ -163,11 +155,7 @@ class LinkExpr:
             )
         terms = dict(self.terms)
         for key, value in other.terms.items():
-            new = terms.get(key, ZERO) + value
-            if new.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = new
+            terms[key] = terms.get(key, ZERO) + value
         return LinkExpr(self.degree, terms)
 
     def __neg__(self) -> "LinkExpr":
@@ -214,7 +202,7 @@ class LinkExpr:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "LinkExpr":
-        degree = int(obj["degree"])
+        degree = strict_int(obj["degree"], "degree")
         terms: dict[tuple[Word, Atom], Scalar] = {}
         for item in obj.get("terms", []):
             key = (tuple(item.get("ops", [])), Atom.from_json(item["atom"]))
@@ -235,8 +223,6 @@ def _normalize_applied(
     depth: int,
 ) -> dict[tuple[Word, Atom], Scalar]:
     """Rule rewriting on a structurally reduced word (innermost-first list)."""
-    if depth > _MAX_REWRITE_DEPTH:  # pragma: no cover
-        raise InputError("rewrite depth exceeded; relations do not terminate")
     if atom.name in rules.zero:
         return {}
     for prefix, rule_atom in rules.monomial_zeros:
@@ -285,11 +271,7 @@ def _normalize_applied(
                     )
                 tail = _apply_ops(rest, [], atom, coeff * (-sign) * mu, rules, depth + 1)
                 for key, value in tail.items():
-                    new = out.get(key, ZERO) + value
-                    if new.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = new
+                    out[key] = out.get(key, ZERO) + value
                 return out
     word = tuple(reversed(applied))
     return {(word, atom): coeff}
@@ -352,39 +334,23 @@ def _apply_ops(
     return _normalize_applied(applied, atom, coeff, rules, depth)
 
 
+def _rewrite(expr: LinkExpr, ops: list[str], rules: Relations) -> LinkExpr:
+    """Apply ``ops`` (outermost-first) to every term and re-collect the pieces."""
+    out: dict[tuple[Word, Atom], Scalar] = {}
+    for (word, atom), coeff in expr.terms.items():
+        for key, value in _apply_ops(ops + list(word), [], atom, coeff, rules, 0).items():
+            out[key] = out.get(key, ZERO) + value
+    return LinkExpr(_word_degree(reversed(ops), expr.degree), out)
+
+
 def apply_operator(expr: LinkExpr, op: str, rules: Relations = EMPTY_RELATIONS) -> LinkExpr:
     """Apply d, s or t to an expression and normalize."""
-    out: dict[tuple[Word, Atom], Scalar] = {}
-    new_degree: int | None = None
-    for (word, atom), coeff in expr.terms.items():
-        pieces = _apply_ops([op] + list(word), [], atom, coeff, rules, 0)
-        for key, value in pieces.items():
-            new = out.get(key, ZERO) + value
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
-    if op == "d":
-        new_degree = expr.degree + 1
-    elif op == "t":
-        new_degree = expr.degree - 1
-    else:
-        new_degree = 7 - expr.degree
-    return LinkExpr(new_degree, out)
+    return _rewrite(expr, [op], rules)
 
 
 def normalize(expr: LinkExpr, rules: Relations = EMPTY_RELATIONS) -> LinkExpr:
     """Re-normalize an expression under (possibly new) relations."""
-    out: dict[tuple[Word, Atom], Scalar] = {}
-    for (word, atom), coeff in expr.terms.items():
-        pieces = _apply_ops(list(word), [], atom, coeff, rules, 0)
-        for key, value in pieces.items():
-            new = out.get(key, ZERO) + value
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
-    return LinkExpr(expr.degree, out)
+    return _rewrite(expr, [], rules)
 
 
 def d_link(expr: LinkExpr, rules: Relations = EMPTY_RELATIONS) -> LinkExpr:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .scalars import Scalar, sqrt_rational
+from .scalars import Scalar, sqrt_rational, strict_int
 
 MU_LOWER_BOUND = Fraction(-1, 9)  # minimum of mu over lambda in (-4, 0)
 
@@ -149,15 +149,15 @@ class LinkData:
             contributions = tuple(
                 Contribution(
                     rate=scalar_of(item["lambda"]),
-                    dim=int(item["dim_E"]),
+                    dim=strict_int(item["dim_E"], "dim_E"),
                     source=str(item.get("source", "")),
                 )
                 for item in obj.get("contributions", [])
             )
             fields = dict(
                 name=str(obj.get("name", "")),
-                dim_h4_minus_l2=int(obj["dim_h4_minus_L2"]),
-                dim_im_upsilon4=int(obj["dim_im_upsilon4"]),
+                dim_h4_minus_l2=strict_int(obj["dim_h4_minus_L2"], "dim_h4_minus_L2"),
+                dim_im_upsilon4=strict_int(obj["dim_im_upsilon4"], "dim_im_upsilon4"),
                 critical_rates=tuple(
                     scalar_of(x) for x in obj.get("critical_rates", [])
                 ),

@@ -29,7 +29,6 @@ from .errors import InputError
 from .forms import (
     Form,
     Matrix,
-    form_to_coefficients,
     gl_inf_action,
     monomial_basis,
     norm_squared,
@@ -79,9 +78,11 @@ def compound4(g: np.ndarray) -> np.ndarray:
 
 
 def _form_to_float(a: Form) -> np.ndarray:
-    return np.array(
-        [float(c) for c in form_to_coefficients(a, _BASIS4)], dtype=float
-    )
+    """Dense float coefficients of a 4-form over R^8; only nonzero terms convert."""
+    out = np.zeros(len(_BASIS4))
+    for key, value in a.terms.items():
+        out[_INDEX4[key]] = float(value)
+    return out
 
 
 def _matrix_to_float(m) -> np.ndarray:
@@ -187,7 +188,10 @@ class PiThetaResult:
 def form_to_lambda4_vector(a: Form) -> np.ndarray:
     if a.n != 8 or a.k != 4:
         raise InputError("expected a 4-form over R^8")
-    return _form_to_float(a)
+    try:
+        return _form_to_float(a)
+    except OverflowError as exc:
+        raise InputError("coefficient beyond the float range") from exc
 
 
 def _check_eta(eta_vec: np.ndarray, exact: Form | None, tol: float) -> None:

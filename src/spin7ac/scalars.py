@@ -18,6 +18,7 @@ sign(A + B*sqrt581) with A, B in Q(sqrt5) by comparing A^2 with 581 B^2.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -28,10 +29,36 @@ RationalLike = Union[int, Fraction, str]
 _SURD_KEYS = ("1", "sqrt5", "sqrt581", "sqrt2905")
 
 
+# Input rationals are bounded: a string has at most this many characters
+# and a decimal exponent of at most this size, an int at most this many
+# digits.  Every admitted value then has at most ~1,200 digits, so a
+# product of three (cone-op's Laplacian scales a coefficient by a quadratic
+# in the rate) still prints under Python's 4,300-digit int-to-str limit.
+_MAX_RATIONAL_DIGITS = 600
+_INT_BOUND = 10**_MAX_RATIONAL_DIGITS
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, float):
-        raise InputError(f"refusing to coerce float {x!r} into an exact scalar")
+    """The one gate from inputs to Fraction: no floats or bools, bounded size."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise InputError(f"refusing to coerce {type(x).__name__} {x!r} into an exact scalar")
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if len(x) > _MAX_RATIONAL_DIGITS or (exponent and int(exponent[1]) > _MAX_RATIONAL_DIGITS):
+            raise InputError(f"rational literal beyond {_MAX_RATIONAL_DIGITS} characters or exponent")
+    elif isinstance(x, int) and not -_INT_BOUND < x < _INT_BOUND:
+        raise InputError(f"integer with more than {_MAX_RATIONAL_DIGITS} digits")
     return Fraction(x)
+
+
+def strict_int(x: object, field: str) -> int:
+    """An integer JSON field: a JSON integer, never a float, bool or string."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{field} must be an integer, not {type(x).__name__}")
+    return x
 
 
 def _sign_fraction(p: Fraction) -> int:

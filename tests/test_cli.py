@@ -229,11 +229,38 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         (["decompose", "--form"], b'{"n": 8, "k": 4, "terms": {"\xff": "1"}}'),
         (["decompose", "--form"], b"[" * 100_000 + b"]" * 100_000),
         (["projectors", "--export", "4"], None),
+        (["moduli-dim", "--nu=-1e-5000"], None),
+        (["classify-rate", "--parity", "even", "--rate=1e-5000"], None),
+        (["critical-rates", "--eigenvalues", "1e-5000"], None),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": "1e-5000"}}),
+        (["decompose", "--form"], b'{"n": 8, "k": 4, "terms": {"1,2,3,4": ' + b"7" * 5000 + b"}}"),
+        (["cone-op", "--op", "d", "--form"], {"rate": int("9" * 601)}),
+        (["decompose", "--form"], {"n": 8.9, "k": 4.7, "terms": {"1,2,3,4": True}}),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": True}}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0.5, "dim_im_upsilon4": 0, "contributions": []}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0,
+          "contributions": [{"lambda": "-10/3", "dim_E": False}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4.0, "alpha": None, "beta": None}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4, "alpha": None, "beta":
+          {"degree": 4, "terms": [{"coeff": "1", "atom": {"name": "a", "degree": 4.5}}]}}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4, "alpha": None, "beta":
+          {"degree": True, "terms": []}}]}),
+        (["enumerate", "--lo=-1e9"], None),
+        (["pi-theta", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": "9e600"}}),
     ],
     ids=[
         "n-not-an-integer", "float-term", "float-surd-part", "zero-denominator", "terms-list",
         "link-list", "cone-list", "tol-nan", "not-utf8", "nested-too-deep",
-        "export-without-dim",
+        "export-without-dim", "nu-huge-exponent", "rate-huge-exponent",
+        "eigenvalue-huge-exponent", "term-huge-exponent", "json-int-past-digit-limit",
+        "json-int-too-long", "float-and-bool-integer-fields", "bool-term",
+        "float-link-dim", "bool-dim-E", "float-cone-degree", "float-atom-degree",
+        "bool-expr-degree", "enumerate-too-deep", "eta-beyond-float-range",
     ],
 )
 def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -307,3 +309,29 @@ def test_form_validation():
 def test_norm_squared():
     psi = psi0()
     assert norm_squared(psi) == Scalar(14)
+
+
+def test_form_to_float_matches_dense_conversion():
+    from spin7ac.pitheta import _form_to_float
+
+    rng = random.Random(581)
+    surds = (Scalar(1), Scalar.sqrt5(), Scalar.sqrt581(), Scalar.sqrt2905())
+    basis = monomial_basis(8, 4)
+    terms = {
+        key: sum((s * Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for s in surds), Scalar(0))
+        for key in rng.sample(basis, 40)
+    }
+    a = Form(8, 4, terms)
+    dense = np.array([float(c) for c in form_to_coefficients(a, basis)])
+    assert np.array_equal(_form_to_float(a), dense)
+
+
+def test_symbolic_modules_import_without_numpy():
+    modules = ("forms", "projectors", "linkexpr", "cones", "moduli", "homrep")
+    code = (
+        f"import sys; sys.path[:0] = {sys.path!r}; "
+        + "; ".join(f"import spin7ac.{m}" for m in modules)
+        + "; assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

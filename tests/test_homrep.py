@@ -11,6 +11,7 @@ from spin7ac.homrep import (
     BRANCHING,
     E_MODULES,
     LAMBDA_BAR_PAPER,
+    MAX_WINDOW_DEPTH,
     PHI_FRAME,
     HomData,
     IrrepLabel,
@@ -97,6 +98,39 @@ def test_enumeration_closed_window():
     assert (2, 0, 0) in labels and (0, 0, 2) in labels
     with pytest.raises(InputError):
         enumerate_candidates(Scalar(0), Scalar(-1))
+
+
+@pytest.mark.parametrize("include_lo", [False, True])
+@pytest.mark.parametrize("include_hi", [False, True])
+def test_enumeration_window_ends_against_brute_force(include_lo, include_hi):
+    # ends on, between and off the Casimir grid 1/24 Z
+    windows = [(-1, 0), (Fraction(-19, 24), Fraction(-3, 8)), (Fraction(-7, 5), Fraction(-1, 7)),
+               (Fraction(-2), Fraction(-2)), (Fraction(-5, 2), Fraction(1, 3))]
+    for lo, hi in windows:
+        brute = []
+        for k1 in range(8):
+            for k2 in range(k1 + 1):
+                for l in range(8):
+                    c = casimir(IrrepLabel(k1, k2, l))
+                    above = lo <= c if include_lo else lo < c
+                    below = c <= hi if include_hi else c < hi
+                    if above and below:
+                        brute.append((-c, (k1, k2, l)))
+        records = enumerate_candidates(lo, hi, include_lo=include_lo, include_hi=include_hi)
+        assert [(r.label.k1, r.label.k2, r.label.l) for r in records] == [
+            label for _, label in sorted(brute)
+        ]
+
+
+def test_enumeration_refuses_irrational_and_too_deep_windows():
+    with pytest.raises(InputError):
+        enumerate_candidates(-SQRT5, Scalar(0))
+    with pytest.raises(InputError):
+        enumerate_candidates(Scalar(-1), SQRT5)
+    with pytest.raises(InputError):
+        enumerate_candidates(Scalar(-MAX_WINDOW_DEPTH) - Scalar(Fraction(1, 24)))
+    # the deepest benchmark window stays admitted
+    assert enumerate_candidates(Scalar(-100), Scalar(-99))
 
 
 def test_record_chains_and_flags():
