@@ -392,6 +392,37 @@ def gl_inf_action(m: Matrix, a: Form) -> Form:
     return Form(a.n, a.k, terms)
 
 
+def rho(k: int, b: Matrix) -> dict[tuple[int, int], int]:
+    """gl_inf_action(b, .) on Lambda^k (R^8)* as a sparse integer matrix.
+
+    Maps (row, column) positions in monomial_basis(8, k) to the nonzero
+    entries.  For b = E_ij it is a signed index substitution: dx_I with i
+    in I goes to sign * dx_J, J = I with i replaced by j.  b must have
+    integer entries.
+    """
+    if b.n != 8:
+        raise InputError("rho is defined for 8x8 matrices")
+    row_entries: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(b.rows, 1):
+        for j, x in enumerate(row, 1):
+            value = x.as_fraction()
+            if value.denominator != 1:
+                raise InputError(f"rho needs an integer matrix, not entry {value}")
+            if value:
+                row_entries.setdefault(i, []).append((j, value.numerator))
+    basis = monomial_basis(8, k)
+    index = {key: i for i, key in enumerate(basis)}
+    out: dict[tuple[int, int], int] = {}
+    for col, key in enumerate(basis):
+        for pos, i in enumerate(key):
+            for j, value in row_entries.get(i, ()):
+                sorted_key, sign = sort_with_sign(key[:pos] + (j,) + key[pos + 1 :])
+                if sign:
+                    cell = (index[sorted_key], col)
+                    out[cell] = out.get(cell, 0) + sign * value
+    return {cell: value for cell, value in out.items() if value}
+
+
 # -- basis bookkeeping ----------------------------------------------------
 
 

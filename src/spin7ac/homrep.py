@@ -43,7 +43,7 @@ from .moduli import (
     moduli_dimension,
     scaling_contribution,
 )
-from .scalars import SQRT5, SQRT581, SQRT2905, ZERO, Scalar
+from .scalars import _INT_BOUND, SQRT5, SQRT581, SQRT2905, ZERO, Scalar
 
 # kappa rescales the squashed metric between scalar curvature 42 and the
 # naturally reductive normalization: tau_0 = 12/sqrt(5) and tau_0 = 4/kappa
@@ -60,6 +60,8 @@ class IrrepLabel:
     l: int
 
     def __post_init__(self) -> None:
+        if max(self.k1, self.k2, self.l) >= _INT_BOUND:
+            raise InputError("highest weight entry beyond the integer size bound")
         if not (self.k1 >= self.k2 >= 0 and self.l >= 0):
             raise InputError(f"invalid highest weight ({self.k1},{self.k2},{self.l})")
 

@@ -26,13 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .forms import (
-    Form,
-    Matrix,
-    gl_inf_action,
-    monomial_basis,
-    norm_squared,
-)
+from .forms import Form, Matrix, monomial_basis, norm_squared, rho
 from .projectors import build_projectors, psi0, sym0_matrix_basis
 from .scalars import Scalar
 
@@ -85,49 +79,29 @@ def _form_to_float(a: Form) -> np.ndarray:
     return out
 
 
-def _matrix_to_float(m) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m.rows], dtype=float)
-
-
 @lru_cache(maxsize=1)
 def _tables():
     """Float tables derived from the exact projector data (built once)."""
     table = build_projectors()
-    w_matrices = [np.eye(8)]
-    w_matrices.extend(_matrix_to_float(m) for m in sym0_matrix_basis())
-    w_matrices.extend(_matrix_to_float(m) for m in table.lambda2_7_matrices)
-    psi = psi0()
-    psi_vec = _form_to_float(psi)
+    exact_w = [Matrix.identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
     # gl_inf_action(B, .) as a 70x70 matrix per W-basis element B.
     glact = []
-    exact_w = [Matrix.identity(8)] + sym0_matrix_basis() + list(
-        table.lambda2_7_matrices
-    )
     for b in exact_w:
-        cols = []
-        for key in _BASIS4:
-            image = gl_inf_action(b, Form.monomial(8, key))
-            cols.append(_form_to_float(image))
-        glact.append(np.array(cols).T)
-    e27 = np.array(
-        [_form_to_float(f) for f in table.lambda4_27_basis], dtype=float
-    ).T  # 70 x 27
-    e27, _ = np.linalg.qr(e27)
-    p35 = np.array(
-        [[float(x) for x in row] for row in table.projector(4, 35)], dtype=float
-    )
-    p27 = np.array(
-        [[float(x) for x in row] for row in table.projector(4, 27)], dtype=float
-    )
-    lambda21 = [_matrix_to_float(m) for m in table.lambda2_21_matrices]
+        g = np.zeros((len(_BASIS4), len(_BASIS4)))
+        for (row, col), value in rho(4, b).items():
+            g[row, col] = value
+        glact.append(g)
+    p27 = np.array(table.projector(4, 27), dtype=float)
+    eigenvalues, eigenvectors = np.linalg.eigh(p27)
     return {
-        "w_matrices": w_matrices,
+        "w_matrices": [np.array(m.rows, dtype=float) for m in exact_w],
         "glact": glact,
-        "e27": e27,
-        "p35": p35,
+        "e27": eigenvectors[:, eigenvalues > 0.5],  # 70 x 27, orthonormal
+        "p21": np.array(table.projector(2, 21), dtype=float),
+        "p35": np.array(table.projector(4, 35), dtype=float),
         "p27": p27,
-        "psi_vec": psi_vec,
-        "lambda21": lambda21,
+        "psi_vec": _form_to_float(psi0()),
+        "lambda21": [np.array(m.rows, dtype=float) for m in table.lambda2_21_matrices],
     }
 
 
@@ -165,15 +139,14 @@ class PiThetaResult:
         return float(np.linalg.norm(t["p27"] @ self.zeta - self.zeta))
 
     def a_stabiliser_component(self) -> float:
-        """Norm of the spin(7)-component of A (zero up to roundoff)."""
-        t = _tables()
-        a = self.a_matrix
-        total = 0.0
-        for b in t["lambda21"]:
-            nb = float(np.sum(b * b))
-            coeff = float(np.sum(a * b)) / nb
-            total += coeff * coeff * nb
-        return float(np.sqrt(total))
+        """Frobenius norm of the spin(7)-component of A (zero up to roundoff).
+
+        The antisymmetric part of A in Lambda^2 coordinates (E_ij - E_ji
+        has Frobenius norm sqrt 2) projected by the Lambda^2_21 projector.
+        """
+        antisym = (self.a_matrix - self.a_matrix.T) / 2
+        coords = antisym[np.triu_indices(8, 1)]
+        return float(math.sqrt(2) * np.linalg.norm(_tables()["p21"] @ coords))
 
     def to_json(self) -> dict:
         return {

@@ -1,15 +1,23 @@
 """The model Spin(7) 4-form on R^8 and its irreducible-type projectors.
 
-The table of exact orthogonal projectors is built from first principles:
+By Schur's lemma each projector is a fixed multiple of a Gram matrix of
+integer vectors, so the table is written in closed form from three integer
+matrices: psi, the 70 coefficients of psi0; C (56 x 8), whose column i is
+e_i -| psi0; and A (70 x 28), whose column e_i ^ e_j is
+rho_4(E_ij - E_ji) psi0, the infinitesimal action of that 2-form on psi0.
 
-* Lambda^2_21 is the kernel of  M |-> gl_inf_action(M, psi0)  on
-  antisymmetric matrices (the Lie algebra of the stabiliser of psi0),
-  Lambda^2_7 its orthogonal complement;
-* Lambda^3_8 is spanned by the contractions e_i -| psi0, Lambda^3_48 its
-  complement;
-* Lambda^4_1 is spanned by psi0, Lambda^4_7 is the infinitesimal image of
-  Lambda^2_7, Lambda^4_35 is the anti-self-dual half (Id - *)/2, and
-  Lambda^4_27 the remainder of the self-dual half.
+* Lambda^2_7 is A^T A / 32 and Lambda^2_21 = Id - Lambda^2_7, the kernel
+  of A: the Lie algebra of the stabiliser of psi0;
+* Lambda^3_8 is C C^T / 7 (C^T C = 7 Id) and Lambda^3_48 = Id - Lambda^3_8;
+* Lambda^4_1 is psi psi^T / 14 (|psi0|^2 = 14), Lambda^4_7 is A A^T / 32,
+  the infinitesimal image of Lambda^2_7, Lambda^4_35 is the
+  anti-self-dual half (Id - *)/2, and Lambda^4_27 the remainder
+  (Id + *)/2 - Lambda^4_1 - Lambda^4_7 of the self-dual half.
+
+The bases need no elimination either: Lambda^2_7 is spanned by the
+columns of 4 Lambda^2_7 at e_1 ^ e_j, Lambda^2_21 by the columns of
+4 Lambda^2_21 at e_i ^ e_j with 2 <= i < j, and Lambda^4_7 by A applied
+to the Lambda^2_7 basis.
 
 Every projector is certified exact: symmetric, idempotent, with trace
 (= rank, for a symmetric idempotent) equal to the advertised dimension,
@@ -33,13 +41,13 @@ from .forms import (
     Vector,
     form_from_coefficients,
     form_to_coefficients,
-    gl_inf_action,
     hodge_star,
     inner_product,
     interior_product,
     merge_sign,
     monomial_basis,
     norm_squared,
+    rho,
 )
 from .scalars import ZERO, Scalar
 
@@ -104,15 +112,6 @@ def antisym_matrix_from_form(omega: Form) -> Matrix:
     return Matrix.from_entries(omega.n, entries)
 
 
-def _rational_vector(a: Form, basis: list[IndexTuple]) -> list[Fraction]:
-    out = []
-    for coeff in form_to_coefficients(a, basis):
-        if not coeff.is_rational():
-            raise InternalCheckError("projector construction hit an irrational entry")
-        out.append(coeff.as_fraction())
-    return out
-
-
 def sym0_matrix_basis() -> list[Matrix]:
     """Basis of traceless symmetric 8x8 matrices: E_ij + E_ji and E_11 - E_kk."""
     out = [
@@ -145,14 +144,13 @@ class ProjectorTable:
 
     ``projectors`` maps (degree, dim) to a matrix over the lexicographic
     monomial basis of Lambda^degree (R^8)*.  The auxiliary bases are kept
-    because the Pi/Theta solver and the 4/7-factor check need them.
+    because the Pi/Theta solver needs them.
     """
 
     projectors: dict[TypeLabel, ratmat.RatMatrix]
     lambda2_21_matrices: list[Matrix]
     lambda2_7_matrices: list[Matrix]
     lambda4_7_basis: list[Form]
-    lambda4_27_basis: list[Form]
 
     def projector(self, degree: int, dim: int) -> ratmat.RatMatrix:
         try:
@@ -182,96 +180,77 @@ class ProjectorTable:
         return form_from_coefficients(8, degree, basis, out)
 
 
-def _basis_forms_from_vectors(
-    vectors: list[list[Fraction]], k: int
-) -> list[Form]:
-    basis = monomial_basis(8, k)
-    return [form_from_coefficients(8, k, basis, vec) for vec in vectors]
+def _integer_vector(a: Form, basis: list[IndexTuple]) -> list[int]:
+    """Coefficients of a form with integer coefficients (psi0, e_i -| psi0)."""
+    return [c.as_fraction().numerator for c in form_to_coefficients(a, basis)]
+
+
+def _outer_sum(vectors: list[list[int]], denom: int) -> ratmat.RatMatrix:
+    """sum_v v v^T / denom over integer vectors v."""
+    return ratmat.mat_scale(
+        ratmat.mat_mul(ratmat.transpose(vectors), vectors), Fraction(1, denom)
+    )
 
 
 @lru_cache(maxsize=1)
 def build_projectors() -> ProjectorTable:
     """Construct and certify the full projector table (cached)."""
+    basis2, basis3, basis4 = (monomial_basis(8, k) for k in (2, 3, 4))
     psi = psi0()
-    table: dict[TypeLabel, ratmat.RatMatrix] = {}
-
-    # Degree 2: kernel of the infinitesimal action on antisymmetric matrices.
-    basis2 = monomial_basis(8, 2)
-    action_cols = []
-    basis4 = monomial_basis(8, 4)
+    psi_vec = _integer_vector(psi, basis4)
+    # A (70 x 28): column e_i ^ e_j is rho_4(E_ij - E_ji) psi0.
+    a_cols = []
     for key in basis2:
-        m = antisym_matrix_from_form(Form.monomial(8, key))
-        action_cols.append(_rational_vector(gl_inf_action(m, psi), basis4))
-    action_on_antisym = ratmat.transpose(action_cols)  # 70 x 28
-    kernel21 = ratmat.nullspace(action_on_antisym)
-    if len(kernel21) != 21:
-        raise InternalCheckError(f"dim Lambda^2_21 = {len(kernel21)} != 21")
-    table[(2, 21)] = ratmat.projector_onto_span(kernel21, 28)
-    table[(2, 7)] = ratmat.mat_sub(ratmat.identity(28), table[(2, 21)])
-
-    lambda2_21_matrices = [
-        antisym_matrix_from_form(form_from_coefficients(8, 2, basis2, vec))
-        for vec in kernel21
-    ]
-    lambda2_7_vectors = ratmat.nullspace(kernel21)  # orthogonal complement in R^28
-    if len(lambda2_7_vectors) != 7:
-        raise InternalCheckError(f"dim Lambda^2_7 = {len(lambda2_7_vectors)} != 7")
-    lambda2_7_matrices = [
-        antisym_matrix_from_form(form_from_coefficients(8, 2, basis2, vec))
-        for vec in lambda2_7_vectors
-    ]
-
-    # Degree 3: span of the contractions X -| psi0.
-    basis3 = monomial_basis(8, 3)
+        col = [0] * len(basis4)
+        action = rho(4, antisym_matrix_from_form(Form.monomial(8, key)))
+        for (row, c), value in action.items():
+            col[row] += value * psi_vec[c]
+        a_cols.append(col)
+    # The columns of C (56 x 8): e_i -| psi0.
     contractions = [
-        _rational_vector(interior_product(Vector.basis(8, i), psi), basis3)
+        _integer_vector(interior_product(Vector.basis(8, i), psi), basis3)
         for i in range(1, 9)
     ]
-    if ratmat.rank(contractions) != 8:
-        raise InternalCheckError("X -> X -| psi0 is not injective")
-    table[(3, 8)] = ratmat.projector_onto_span(contractions, 56)
-    table[(3, 48)] = ratmat.mat_sub(ratmat.identity(56), table[(3, 8)])
-
-    # Degree 4: line through psi0, image of Lambda^2_7, ASD half, remainder.
+    p2_7 = _outer_sum(ratmat.transpose(a_cols), 32)
+    p3_8 = _outer_sum(contractions, 7)
+    p4_1 = _outer_sum([psi_vec], 14)
+    p4_7 = _outer_sum(a_cols, 32)
     star4 = star_matrix(8, 4)
-    psi_vec = _rational_vector(psi, basis4)
-    p1 = ratmat.projector_onto_span([psi_vec], 70)
-    lambda4_7_vectors = [
-        _rational_vector(gl_inf_action(m, psi), basis4) for m in lambda2_7_matrices
-    ]
-    if ratmat.rank(lambda4_7_vectors) != 7:
-        raise InternalCheckError("gl_inf_action(Lambda^2_7, psi0) is not 7-dimensional")
-    p7 = ratmat.projector_onto_span(lambda4_7_vectors, 70)
     half = Fraction(1, 2)
-    p35 = ratmat.mat_scale(ratmat.mat_sub(ratmat.identity(70), star4), half)
     p_sd = ratmat.mat_scale(ratmat.mat_add(ratmat.identity(70), star4), half)
-    p27 = ratmat.mat_sub(ratmat.mat_sub(p_sd, p1), p7)
-    table[(4, 1)] = p1
-    table[(4, 7)] = p7
-    table[(4, 27)] = p27
-    table[(4, 35)] = p35
+    table: dict[TypeLabel, ratmat.RatMatrix] = {
+        (2, 7): p2_7,
+        (2, 21): ratmat.mat_sub(ratmat.identity(28), p2_7),
+        (3, 8): p3_8,
+        (3, 48): ratmat.mat_sub(ratmat.identity(56), p3_8),
+        (4, 1): p4_1,
+        (4, 7): p4_7,
+        (4, 27): ratmat.mat_sub(ratmat.mat_sub(p_sd, p4_1), p4_7),
+        (4, 35): ratmat.mat_scale(ratmat.mat_sub(ratmat.identity(70), star4), half),
+    }
 
     _certify(table)
 
-    lambda4_27_vectors = _projector_column_space(p27, 27)
+    def antisym(vec: list[Fraction]) -> Matrix:
+        return antisym_matrix_from_form(form_from_coefficients(8, 2, basis2, vec))
+
+    # Columns of 4 P (integral; rows, since P is symmetric) at e_1 ^ e_j for
+    # Lambda^2_7 and at e_i ^ e_j, 2 <= i < j, for Lambda^2_21.
+    lambda2_7 = [[4 * x for x in table[(2, 7)][col]] for col in range(7)]
+    lambda2_21 = [
+        [4 * x for x in table[(2, 21)][col]]
+        for col, key in enumerate(basis2)
+        if key[0] >= 2
+    ]
     return ProjectorTable(
         projectors=table,
-        lambda2_21_matrices=lambda2_21_matrices,
-        lambda2_7_matrices=lambda2_7_matrices,
-        lambda4_7_basis=_basis_forms_from_vectors(lambda4_7_vectors, 4),
-        lambda4_27_basis=_basis_forms_from_vectors(lambda4_27_vectors, 4),
+        lambda2_21_matrices=[antisym(vec) for vec in lambda2_21],
+        lambda2_7_matrices=[antisym(vec) for vec in lambda2_7],
+        lambda4_7_basis=[
+            form_from_coefficients(8, 4, basis4, vec)
+            for vec in ratmat.mat_mul(lambda2_7, a_cols)
+        ],
     )
-
-
-def _projector_column_space(p: ratmat.RatMatrix, expected: int) -> list[list[Fraction]]:
-    cols = ratmat.transpose(p)
-    reduced, pivots = ratmat.rref(cols)
-    del reduced
-    if len(pivots) != expected:
-        raise InternalCheckError(
-            f"projector column space has rank {len(pivots)}, expected {expected}"
-        )
-    return [cols[i] for i in pivots]
 
 
 def _certify(table: dict[TypeLabel, ratmat.RatMatrix]) -> None:

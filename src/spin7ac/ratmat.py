@@ -1,12 +1,15 @@
-"""Exact rational linear algebra for projector construction.
+"""Exact rational linear algebra for the projector table.
 
 Matrices are dense lists of lists of ``Fraction``; the arithmetic helpers
 (``mat_mul``, ``trace``, ``is_symmetric``, ...) work unchanged on ``int``
-entries, which is how the projector certificate uses them.  Rank
-computations clear denominators and run fraction-free (Bareiss-style)
-integer elimination, which keeps intermediate entries as minors of the
-scaled matrix instead of letting rational complexity blow up during 70x70
-eliminations.
+entries, which is how the closed-form build and the projector certificate
+use them.  The elimination helpers (``rank``, ``rref``, ``nullspace``,
+``gram_schmidt``, ``projector_onto_span``) are no longer used by the
+build; they are the independent reference the tests compare it against.
+Rank computations clear denominators and run fraction-free
+(Bareiss-style) integer elimination, which keeps intermediate entries as
+minors of the scaled matrix instead of letting rational complexity blow
+up during 70x70 eliminations.
 """
 
 from __future__ import annotations

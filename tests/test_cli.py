@@ -251,6 +251,7 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
          {"rate": "0", "components": [{"degree": 4, "alpha": None, "beta":
           {"degree": True, "terms": []}}]}),
         (["enumerate", "--lo=-1e9"], None),
+        (["casimir", "--k1", "9" * 2200, "--k2", "0", "--l", "0"], None),
         (["pi-theta", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": "9e600"}}),
     ],
     ids=[
@@ -260,7 +261,8 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         "eigenvalue-huge-exponent", "term-huge-exponent", "json-int-past-digit-limit",
         "json-int-too-long", "float-and-bool-integer-fields", "bool-term",
         "float-link-dim", "bool-dim-E", "float-cone-degree", "float-atom-degree",
-        "bool-expr-degree", "enumerate-too-deep", "eta-beyond-float-range",
+        "bool-expr-degree", "enumerate-too-deep", "casimir-label-too-long",
+        "eta-beyond-float-range",
     ],
 )
 def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):

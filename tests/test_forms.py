@@ -22,6 +22,7 @@ from spin7ac.forms import (
     monomial_basis,
     norm_squared,
     pullback,
+    rho,
     volume_form,
     wedge,
 )
@@ -257,6 +258,39 @@ def test_gl_inf_action_symmetric_traceless_lands_asd(table):
     assert table.apply(4, 35, image) == image
 
 
+def test_rho_sums_to_gl_inf_action_random():
+    # sum_ij m_ij rho_k(E_ij), applied to the coefficients of a, is gl_inf_action(m, a).
+    rng = random.Random(15)
+    units = {
+        (i, j): Matrix.from_entries(8, {(i, j): 1}) for i in range(1, 9) for j in range(1, 9)
+    }
+    for k in range(1, 8):
+        basis = monomial_basis(8, k)
+        rhos = {ij: rho(k, e) for ij, e in units.items()}
+        for _ in range(2):
+            m = {ij: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for ij in units}
+            a = Form(8, k, {
+                key: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                for key in rng.sample(basis, min(6, len(basis)))
+            })
+            coeffs = [c.as_fraction() for c in form_to_coefficients(a, basis)]
+            image = [Fraction(0)] * len(basis)
+            for ij, sparse in rhos.items():
+                for (row, col), value in sparse.items():
+                    image[row] += m[ij] * value * coeffs[col]
+            expected = gl_inf_action(Matrix.from_entries(8, m), a)
+            assert [Scalar(x) for x in image] == form_to_coefficients(expected, basis)
+
+
+def test_rho_is_a_signed_substitution_and_refuses_fractions():
+    for i, j in ((1, 1), (2, 7)):
+        action = rho(4, Matrix.from_entries(8, {(i, j): 1}))
+        assert len(action) == (35 if i == j else 20)
+        assert set(action.values()) <= {1, -1}
+    with pytest.raises(InputError):
+        rho(4, Matrix.from_entries(8, {(1, 2): Fraction(1, 2)}))
+
+
 def test_gl_inf_action_matches_finite_differences():
     rng = random.Random(16)
     dense = {(i, j): rng.randint(-2, 2) for i in range(1, 9) for j in range(1, 9)}
@@ -331,6 +365,7 @@ def test_symbolic_modules_import_without_numpy():
     code = (
         f"import sys; sys.path[:0] = {sys.path!r}; "
         + "; ".join(f"import spin7ac.{m}" for m in modules)
+        + "; spin7ac.projectors.build_projectors()"
         + "; assert 'numpy' not in sys.modules, 'numpy imported'"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from spin7ac.errors import InputError
-from spin7ac.forms import Form
+from spin7ac.forms import Form, Matrix, gl_inf_action, monomial_basis
+from spin7ac.projectors import sym0_matrix_basis
 from spin7ac.pitheta import (
     DEFAULT_TOL,
+    PiThetaResult,
     compound4,
     form_to_lambda4_vector,
     matrix_exp,
@@ -108,6 +110,28 @@ def test_result_invariants():
     assert result.a_stabiliser_component() < 1e-12
     target = _tables()["psi_vec"] + eta
     assert np.linalg.norm(result.pi + result.zeta - target) <= result.residual + 1e-15
+
+
+def test_a_stabiliser_component_is_the_projection_norm():
+    t = _tables()
+    rng = np.random.default_rng(109)
+    zero = np.zeros(70)
+    for _ in range(5):
+        spin7 = sum(c * b for c, b in zip(rng.standard_normal(21), t["lambda21"]))
+        w = sum(c * b for c, b in zip(rng.standard_normal(43), t["w_matrices"]))
+        for a, expected in ((spin7, np.linalg.norm(spin7)), (w, 0.0)):
+            result = PiThetaResult(a_matrix=a, zeta=zero, pi=zero, residual=0.0, iterations=0)
+            assert abs(result.a_stabiliser_component() - expected) <= 1e-12
+
+
+def test_glact_is_gl_inf_action(table):
+    # The rho-built tables against the exact action, column by column.
+    glact = _tables()["glact"]
+    w = [Matrix.identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
+    for i in (0, 10, 35, 36, 42):
+        for col, key in enumerate(monomial_basis(8, 4)):
+            image = gl_inf_action(w[i], Form.monomial(8, key))
+            assert np.array_equal(glact[i][:, col], form_to_lambda4_vector(image))
 
 
 def test_rejects_non_asd():

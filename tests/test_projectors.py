@@ -23,6 +23,7 @@ from spin7ac.projectors import (
     PSI0_TERMS,
     _certify,
     antisym_matrix_from_form,
+    build_projectors,
     decompose,
     g2_phi_eight,
     g2_phi_seven,
@@ -144,6 +145,27 @@ def test_gl8_kernel_dimension_21():
     kernel = ratmat.nullspace(matrix)
     assert len(kernel) == 21
     assert ratmat.rank(matrix) == 43
+
+
+def test_lambda2_bases_have_full_rank_and_are_fixed(table):
+    basis2 = monomial_basis(8, 2)
+    for dim, matrices in ((7, table.lambda2_7_matrices), (21, table.lambda2_21_matrices)):
+        vectors = [[m.entry(i, j).as_fraction() for i, j in basis2] for m in matrices]
+        assert len(vectors) == dim
+        assert ratmat.rank(vectors) == dim
+        p = table.projector(2, dim)
+        for v in vectors:
+            assert [ratmat.dot(row, v) for row in p] == v
+
+
+def test_build_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elimination helper called")
+
+    for name in ("rank", "rref", "nullspace", "gram_schmidt", "projector_onto_span"):
+        monkeypatch.setattr(ratmat, name, refuse)
+    rebuilt = build_projectors.__wrapped__()
+    assert rebuilt.projectors == build_projectors().projectors
 
 
 def test_lambda4_7_dimension_and_orthogonality(table):
