@@ -251,28 +251,10 @@ class Matrix:
             ]
         )
 
-    def scale(self, factor: Scalar | int) -> "Matrix":
-        f = Scalar.coerce(factor)
-        return Matrix([[x * f for x in row] for row in self.rows])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.n != other.n:
-            raise InputError("matrix dimension mismatch")
-        return Matrix(
-            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def apply(self, v: Vector) -> Vector:
-        if self.n != v.n:
-            raise InputError("matrix/vector dimension mismatch")
-        return Vector(
-            [sum((x * c for x, c in zip(row, v.components)), ZERO) for row in self.rows]
-        )
 
 
 # -- operations ---------------------------------------------------------

@@ -92,11 +92,20 @@ def _tables():
             g[row, col] = value
         glact.append(g)
     p27 = np.array(table.projector(4, 27), dtype=float)
-    eigenvalues, eigenvectors = np.linalg.eigh(p27)
+    # P^4_27 splits into blocks (one of 14 monomials, seven of 8, from the
+    # sign flips of psi0) and is dense on each, so its distinct row supports
+    # are the blocks; eigh per block keeps their zeros exact (6 + 7 * 3).
+    e27 = []
+    for idx in map(list, dict.fromkeys(tuple(np.flatnonzero(row)) for row in p27)):
+        eigenvalues, eigenvectors = np.linalg.eigh(p27[np.ix_(idx, idx)])
+        kept = eigenvectors[:, eigenvalues > 0.5]
+        block = np.zeros((70, kept.shape[1]))
+        block[idx] = kept
+        e27.append(block)
     return {
         "w_matrices": [np.array(m.rows, dtype=float) for m in exact_w],
         "glact": glact,
-        "e27": eigenvectors[:, eigenvalues > 0.5],  # 70 x 27, orthonormal
+        "e27": np.hstack(e27),  # 70 x 27, orthonormal
         "p21": np.array(table.projector(2, 21), dtype=float),
         "p35": np.array(table.projector(4, 35), dtype=float),
         "p27": p27,
@@ -223,11 +232,11 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
                 m += c * b
         return m
 
-    def residual_vec(a_c: np.ndarray, z_c: np.ndarray) -> np.ndarray:
+    def residual_vec(a_c: np.ndarray, z_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pi_vec = compound4(matrix_exp(assemble(a_c))) @ psi_vec
-        return pi_vec + e27 @ z_c - target
+        return pi_vec + e27 @ z_c - target, pi_vec
 
-    r = residual_vec(a_coeffs, z_coeffs)
+    r, pi_vec = residual_vec(a_coeffs, z_coeffs)
     rnorm = float(np.linalg.norm(r))
     iterations = 0
     while rnorm > tol:
@@ -236,7 +245,6 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
                 f"Newton did not converge: residual {rnorm:.3e} after "
                 f"{MAX_ITERATIONS} iterations (eta outside the basin?)"
             )
-        pi_vec = compound4(matrix_exp(assemble(a_coeffs))) @ psi_vec
         jac = np.empty((70, 70))
         for i, g in enumerate(glact):
             jac[:, i] = g @ pi_vec
@@ -246,20 +254,18 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
         while step > 1e-4:
             trial_a = a_coeffs + step * delta[:43]
             trial_z = z_coeffs + step * delta[43:]
-            r_trial = residual_vec(trial_a, trial_z)
+            r_trial, pi_trial = residual_vec(trial_a, trial_z)
             if float(np.linalg.norm(r_trial)) < rnorm:
                 break
             step *= 0.5
         else:
             raise InputError("Newton backtracking stalled (eta outside the basin?)")
-        a_coeffs, z_coeffs = trial_a, trial_z
+        a_coeffs, z_coeffs, pi_vec = trial_a, trial_z, pi_trial
         r, rnorm = r_trial, float(np.linalg.norm(r_trial))
         iterations += 1
 
-    a_matrix = assemble(a_coeffs)
-    pi_vec = compound4(matrix_exp(a_matrix)) @ psi_vec
     return PiThetaResult(
-        a_matrix=a_matrix,
+        a_matrix=assemble(a_coeffs),
         zeta=e27 @ z_coeffs,
         pi=pi_vec,
         residual=rnorm,

@@ -6,23 +6,25 @@ matrices: psi, the 70 coefficients of psi0; C (56 x 8), whose column i is
 e_i -| psi0; and A (70 x 28), whose column e_i ^ e_j is
 rho_4(E_ij - E_ji) psi0, the infinitesimal action of that 2-form on psi0.
 
-* Lambda^2_7 is A^T A / 32 and Lambda^2_21 = Id - Lambda^2_7, the kernel
-  of A: the Lie algebra of the stabiliser of psi0;
-* Lambda^3_8 is C C^T / 7 (C^T C = 7 Id) and Lambda^3_48 = Id - Lambda^3_8;
-* Lambda^4_1 is psi psi^T / 14 (|psi0|^2 = 14), Lambda^4_7 is A A^T / 32,
-  the infinitesimal image of Lambda^2_7, Lambda^4_35 is the
-  anti-self-dual half (Id - *)/2, and Lambda^4_27 the remainder
-  (Id + *)/2 - Lambda^4_1 - Lambda^4_7 of the self-dual half.
+The table holds each projector P as its integer numerator N = D P over a
+fixed denominator per degree, ``DENOMINATORS`` (|A column|^2 = 32,
+C^T C = 7 Id, lcm(14, 32) = 224), so the build divides nothing:
 
-The bases need no elimination either: Lambda^2_7 is spanned by the
-columns of 4 Lambda^2_7 at e_1 ^ e_j, Lambda^2_21 by the columns of
-4 Lambda^2_21 at e_i ^ e_j with 2 <= i < j, and Lambda^4_7 by A applied
-to the Lambda^2_7 basis.
+* N^2_7 = A^T A and N^2_21 = 32 Id - N^2_7, the kernel of A: the Lie
+  algebra of the stabiliser of psi0;
+* N^3_8 = C C^T and N^3_48 = 7 Id - N^3_8;
+* N^4_1 = 16 psi psi^T (|psi0|^2 = 14), N^4_7 = 7 A A^T, the
+  infinitesimal image of Lambda^2_7, N^4_35 = 112 (Id - *), the
+  anti-self-dual half, and N^4_27 = 112 (Id + *) - N^4_1 - N^4_7, the
+  remainder of the self-dual half.
 
-Every projector is certified exact: symmetric, idempotent, with trace
-(= rank, for a symmetric idempotent) equal to the advertised dimension,
-mutually annihilating and summing to the identity per degree.  The checks
-run on integer numerators over each degree's common denominator.
+The bases need no elimination either: Lambda^2_7 is spanned by the columns
+of N^2_7 / 8 (= 4 P^2_7) at e_1 ^ e_j and Lambda^2_21 by the columns of
+N^2_21 / 8 at e_i ^ e_j with 2 <= i < j.
+
+Every numerator is certified exact: symmetric, idempotent, with trace
+(= rank) equal to the advertised dimension, mutually annihilating and
+summing to the identity per degree.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import ratmat
 from .errors import InputError, InternalCheckError
@@ -49,11 +50,15 @@ from .forms import (
     norm_squared,
     rho,
 )
-from .scalars import ZERO, Scalar
+from .scalars import Scalar, int_matvec
 
 TypeLabel = tuple[int, int]  # (degree, dimension), e.g. (4, 35)
+IntMatrix = list[list[int]]
 
 VALID_LABELS: dict[int, tuple[int, ...]] = {2: (7, 21), 3: (8, 48), 4: (1, 7, 27, 35)}
+
+# Per degree, the denominator D of every projector's numerator N = D P.
+DENOMINATORS: dict[int, int] = {2: 32, 3: 7, 4: 224}
 
 # The 14 monomials of the model 4-form, unit coefficients, signs as fixed
 # by the coordinate convention dx_1...dx_8 positive.
@@ -125,7 +130,7 @@ def sym0_matrix_basis() -> list[Matrix]:
     return out
 
 
-def star_matrix(n: int, k: int) -> ratmat.RatMatrix:
+def star_matrix(n: int, k: int) -> IntMatrix:
     """Matrix of the Hodge star from degree k to degree n-k monomial bases."""
     src = monomial_basis(n, k)
     dst = monomial_basis(n, n - k)
@@ -134,7 +139,7 @@ def star_matrix(n: int, k: int) -> ratmat.RatMatrix:
     for col, key in enumerate(src):
         starred = hodge_star(Form.monomial(n, key))
         for skey, value in starred.terms.items():
-            mat[index[skey]][col] = value.as_fraction()
+            mat[index[skey]][col] = value.as_fraction().numerator
     return mat
 
 
@@ -142,21 +147,26 @@ def star_matrix(n: int, k: int) -> ratmat.RatMatrix:
 class ProjectorTable:
     """Exact orthogonal projectors onto every irreducible Spin(7) type.
 
-    ``projectors`` maps (degree, dim) to a matrix over the lexicographic
+    ``projectors`` maps (degree, dim) to the integer numerator
+    N = DENOMINATORS[degree] * P of the projector P over the lexicographic
     monomial basis of Lambda^degree (R^8)*.  The auxiliary bases are kept
     because the Pi/Theta solver needs them.
     """
 
-    projectors: dict[TypeLabel, ratmat.RatMatrix]
+    projectors: dict[TypeLabel, IntMatrix]
     lambda2_21_matrices: list[Matrix]
     lambda2_7_matrices: list[Matrix]
-    lambda4_7_basis: list[Form]
 
-    def projector(self, degree: int, dim: int) -> ratmat.RatMatrix:
+    def _numerator(self, degree: int, dim: int) -> IntMatrix:
         try:
             return self.projectors[(degree, dim)]
         except KeyError:
             raise InputError(f"no Spin(7) type Lambda^{degree}_{dim}") from None
+
+    def projector(self, degree: int, dim: int) -> ratmat.RatMatrix:
+        """The exact projector P = N / D."""
+        denom = DENOMINATORS[degree]
+        return [[Fraction(x, denom) for x in row] for row in self._numerator(degree, dim)]
 
     def rank_table(self) -> dict[str, int]:
         return {
@@ -167,29 +177,15 @@ class ProjectorTable:
     def apply(self, degree: int, dim: int, a: Form) -> Form:
         if a.n != 8 or a.k != degree:
             raise InputError(f"expected a {degree}-form over R^8")
-        p = self.projector(degree, dim)
         basis = monomial_basis(8, degree)
         vec = form_to_coefficients(a, basis)
-        out = []
-        for row in p:
-            acc = ZERO
-            for pij, vj in zip(row, vec):
-                if pij and not vj.is_zero():
-                    acc = acc + vj * pij
-            out.append(acc)
+        out = int_matvec(self._numerator(degree, dim), vec, DENOMINATORS[degree])
         return form_from_coefficients(8, degree, basis, out)
 
 
 def _integer_vector(a: Form, basis: list[IndexTuple]) -> list[int]:
     """Coefficients of a form with integer coefficients (psi0, e_i -| psi0)."""
     return [c.as_fraction().numerator for c in form_to_coefficients(a, basis)]
-
-
-def _outer_sum(vectors: list[list[int]], denom: int) -> ratmat.RatMatrix:
-    """sum_v v v^T / denom over integer vectors v."""
-    return ratmat.mat_scale(
-        ratmat.mat_mul(ratmat.transpose(vectors), vectors), Fraction(1, denom)
-    )
 
 
 @lru_cache(maxsize=1)
@@ -211,34 +207,34 @@ def build_projectors() -> ProjectorTable:
         _integer_vector(interior_product(Vector.basis(8, i), psi), basis3)
         for i in range(1, 9)
     ]
-    p2_7 = _outer_sum(ratmat.transpose(a_cols), 32)
-    p3_8 = _outer_sum(contractions, 7)
-    p4_1 = _outer_sum([psi_vec], 14)
-    p4_7 = _outer_sum(a_cols, 32)
-    star4 = star_matrix(8, 4)
-    half = Fraction(1, 2)
-    p_sd = ratmat.mat_scale(ratmat.mat_add(ratmat.identity(70), star4), half)
-    table: dict[TypeLabel, ratmat.RatMatrix] = {
-        (2, 7): p2_7,
-        (2, 21): ratmat.mat_sub(ratmat.identity(28), p2_7),
-        (3, 8): p3_8,
-        (3, 48): ratmat.mat_sub(ratmat.identity(56), p3_8),
-        (4, 1): p4_1,
-        (4, 7): p4_7,
-        (4, 27): ratmat.mat_sub(ratmat.mat_sub(p_sd, p4_1), p4_7),
-        (4, 35): ratmat.mat_scale(ratmat.mat_sub(ratmat.identity(70), star4), half),
+    a_mat = ratmat.transpose(a_cols)
+    n2_7 = ratmat.mat_mul(a_cols, a_mat)  # A^T A
+    n3_8 = ratmat.mat_mul(ratmat.transpose(contractions), contractions)  # C C^T
+    n4_1 = [[16 * x * y for y in psi_vec] for x in psi_vec]
+    n4_7 = ratmat.mat_scale(ratmat.mat_mul(a_mat, a_cols), 7)  # 7 A A^T
+    id_112 = ratmat.mat_scale(ratmat.identity(70), 112)
+    star_112 = ratmat.mat_scale(star_matrix(8, 4), 112)
+    table: dict[TypeLabel, IntMatrix] = {
+        (2, 7): n2_7,
+        (2, 21): ratmat.mat_sub(ratmat.mat_scale(ratmat.identity(28), 32), n2_7),
+        (3, 8): n3_8,
+        (3, 48): ratmat.mat_sub(ratmat.mat_scale(ratmat.identity(56), 7), n3_8),
+        (4, 1): n4_1,
+        (4, 7): n4_7,
+        (4, 27): ratmat.mat_sub(ratmat.mat_sub(ratmat.mat_add(id_112, star_112), n4_1), n4_7),
+        (4, 35): ratmat.mat_sub(id_112, star_112),
     }
 
     _certify(table)
 
-    def antisym(vec: list[Fraction]) -> Matrix:
+    def antisym(vec: list[int]) -> Matrix:
         return antisym_matrix_from_form(form_from_coefficients(8, 2, basis2, vec))
 
-    # Columns of 4 P (integral; rows, since P is symmetric) at e_1 ^ e_j for
-    # Lambda^2_7 and at e_i ^ e_j, 2 <= i < j, for Lambda^2_21.
-    lambda2_7 = [[4 * x for x in table[(2, 7)][col]] for col in range(7)]
+    # Columns of N / 8 = 4 P (integral; rows, since N is symmetric) at
+    # e_1 ^ e_j for Lambda^2_7 and at e_i ^ e_j, 2 <= i < j, for Lambda^2_21.
+    lambda2_7 = [[x // 8 for x in table[(2, 7)][col]] for col in range(7)]
     lambda2_21 = [
-        [4 * x for x in table[(2, 21)][col]]
+        [x // 8 for x in table[(2, 21)][col]]
         for col, key in enumerate(basis2)
         if key[0] >= 2
     ]
@@ -246,28 +242,20 @@ def build_projectors() -> ProjectorTable:
         projectors=table,
         lambda2_21_matrices=[antisym(vec) for vec in lambda2_21],
         lambda2_7_matrices=[antisym(vec) for vec in lambda2_7],
-        lambda4_7_basis=[
-            form_from_coefficients(8, 4, basis4, vec)
-            for vec in ratmat.mat_mul(lambda2_7, a_cols)
-        ],
     )
 
 
-def _certify(table: dict[TypeLabel, ratmat.RatMatrix]) -> None:
-    """Check every projector identity exactly, in integers.
+def _certify(table: dict[TypeLabel, IntMatrix]) -> None:
+    """Check every projector identity exactly, on the integer numerators.
 
-    Per degree, each P_a is scaled to N_a = D * P_a over the least common
-    denominator D of the degree's entries; then N_a = N_a^T, N_a N_a =
-    D N_a, tr N_a = D dim_a (for a symmetric idempotent the trace is the
-    rank), N_a N_b = 0 for a != b and sum_a N_a = D Id.
+    Per degree, with D = DENOMINATORS[degree] and N_a = D * P_a: N_a =
+    N_a^T, N_a N_a = D N_a, tr N_a = D dim_a (for a symmetric idempotent
+    the trace is the rank), N_a N_b = 0 for a != b and sum_a N_a = D Id.
     """
     for degree, dims in VALID_LABELS.items():
-        denom = lcm(*(x.denominator for dim in dims for row in table[(degree, dim)] for x in row))
-        scaled = {
-            dim: [[int(x * denom) for x in row] for row in table[(degree, dim)]]
-            for dim in dims
-        }
-        for dim, n in scaled.items():
+        denom = DENOMINATORS[degree]
+        numerators = {dim: table[(degree, dim)] for dim in dims}
+        for dim, n in numerators.items():
             label = f"Lambda^{degree}_{dim}"
             if not ratmat.is_symmetric(n):
                 raise InternalCheckError(f"projector {label}: not symmetric")
@@ -278,12 +266,12 @@ def _certify(table: dict[TypeLabel, ratmat.RatMatrix]) -> None:
                     f"projector {label}: trace {Fraction(ratmat.trace(n), denom)} "
                     f"!= expected rank {dim}"
                 )
-        total = [[sum(column) for column in zip(*rows)] for rows in zip(*scaled.values())]
+        total = [[sum(column) for column in zip(*rows)] for rows in zip(*numerators.values())]
         if total != ratmat.mat_scale(ratmat.identity(len(total)), denom):
             raise InternalCheckError(f"degree-{degree} projectors do not sum to Id")
         for i, da in enumerate(dims):
             for db in dims[i + 1 :]:
-                prod = ratmat.mat_mul(scaled[da], scaled[db])
+                prod = ratmat.mat_mul(numerators[da], numerators[db])
                 if any(any(row) for row in prod):
                     raise InternalCheckError(
                         f"Lambda^{degree}_{da} and Lambda^{degree}_{db} are not orthogonal"

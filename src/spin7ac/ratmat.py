@@ -1,15 +1,16 @@
 """Exact rational linear algebra for the projector table.
 
-Matrices are dense lists of lists of ``Fraction``; the arithmetic helpers
-(``mat_mul``, ``trace``, ``is_symmetric``, ...) work unchanged on ``int``
-entries, which is how the closed-form build and the projector certificate
-use them.  The elimination helpers (``rank``, ``rref``, ``nullspace``,
-``gram_schmidt``, ``projector_onto_span``) are no longer used by the
-build; they are the independent reference the tests compare it against.
-Rank computations clear denominators and run fraction-free
-(Bareiss-style) integer elimination, which keeps intermediate entries as
-minors of the scaled matrix instead of letting rational complexity blow
-up during 70x70 eliminations.
+Matrices are dense lists of lists of ``int`` or ``Fraction``: the
+arithmetic helpers (``mat_mul``, ``trace``, ``is_symmetric``, ...) work
+unchanged on either, ``identity`` and ``zeros`` return ints, and the
+projector table is built and certified with them on integer numerators.
+The elimination helpers (``rank``, ``rref``, ``nullspace``,
+``gram_schmidt``, ``projector_onto_span``) are not used by the build;
+they are the independent reference the tests compare it against.  Rank
+computations clear denominators and run fraction-free (Bareiss-style)
+integer elimination, which keeps intermediate entries as minors of the
+scaled matrix instead of letting rational complexity blow up during
+70x70 eliminations.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ RatVector = list[Fraction]
 
 
 def identity(n: int) -> RatMatrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def zeros(rows: int, cols: int) -> RatMatrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

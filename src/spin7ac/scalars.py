@@ -18,6 +18,7 @@ sign(A + B*sqrt581) with A, B in Q(sqrt5) by comparing A^2 with 581 B^2.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Union
@@ -331,6 +332,25 @@ class Scalar:
             return cls(*parts)  # the constructor refuses floats
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed scalar JSON: {exc}") from exc
+
+
+def int_matvec(rows: list[list[int]], vec: list[Scalar], denom: int) -> list[Scalar]:
+    """rows @ vec / denom for an integer matrix and a vector of Scalars.
+
+    Per surd component: one integer product over the vector's common
+    denominator, then one Fraction per output entry.
+    """
+    parts = []
+    for name in Scalar.__slots__:
+        comps = [getattr(x, name) for x in vec]
+        if not any(comps):
+            parts.append([0] * len(rows))
+            continue
+        common = math.lcm(*(c.denominator for c in comps))
+        nums = [c.numerator * (common // c.denominator) for c in comps]
+        scale = common * denom
+        parts.append([Fraction(sum(map(operator.mul, row, nums)), scale) for row in rows])
+    return [Scalar(*entry) for entry in zip(*parts)]
 
 
 def sqrt_rational(q: Fraction) -> Scalar | None:

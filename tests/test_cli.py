@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -205,6 +206,27 @@ def test_byte_determinism(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# sha256 of `projectors --export LABEL` stdout, recorded while the table
+# was still held as Fraction matrices.
+_EXPORT_SHA256 = {
+    "2_7": "654b700dd8ceb23c06a6ed407817377a2e24d45ff15a7dee3b9cd71680ef10e6",
+    "2_21": "5c55a81bc1fef4920c2e835e0032c3d4bf4436315c64d71cda932c5b524a6025",
+    "3_8": "4431562ceaaa46dfef74056002eeb6a34853025657667ed3bc736a67fcbc3633",
+    "3_48": "7141441502d75d9ecb6c1b510eef6db862e4e609bed2b521e47818f84c1007c9",
+    "4_1": "3bda4b0c28ebda6fbe30499b5f44e953b04dc7b0a825d772689802a74efce4a4",
+    "4_7": "01912b148f202f0626d0878cdd58eb49fd58be0c597489d724e18b00ac6cbb47",
+    "4_27": "d5f2aa6f7fe7782854b07d8bf42cccfd6907637ed07248cee6046701436aebf7",
+    "4_35": "8315c184435a809513996afcb2a1b16becda7a4d955fb1ac028e19c5eda7572a",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_EXPORT_SHA256))
+def test_projector_export_bytes(capsys, label):
+    code, out, err = run_cli(capsys, "projectors", "--export", label)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXPORT_SHA256[label]
 
 
 def test_missing_file_exit_code(capsys):

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spin7ac import pitheta
 from spin7ac.errors import InputError
 from spin7ac.forms import Form, Matrix, gl_inf_action, monomial_basis
-from spin7ac.projectors import sym0_matrix_basis
+from spin7ac.projectors import PSI0_TERMS, sym0_matrix_basis
 from spin7ac.pitheta import (
     DEFAULT_TOL,
     PiThetaResult,
@@ -132,6 +133,50 @@ def test_glact_is_gl_inf_action(table):
         for col, key in enumerate(monomial_basis(8, 4)):
             image = gl_inf_action(w[i], Form.monomial(8, key))
             assert np.array_equal(glact[i][:, col], form_to_lambda4_vector(image))
+
+
+def test_pi_theta_keeps_exact_zeros():
+    # The split of this eta lives on psi0's 14 monomials and a diagonal A;
+    # no coordinate outside them may pick up roundoff.
+    eta = (Form.monomial(8, (1, 2, 3, 4)) - Form.monomial(8, (5, 6, 7, 8))).scale(
+        Scalar(Fraction(1, 50))
+    ) + (Form.monomial(8, (1, 2, 5, 6)) - Form.monomial(8, (3, 4, 7, 8))).scale(
+        Scalar(Fraction(1, 40))
+    )
+    result = pi_theta(eta)
+    psi_keys = {",".join(map(str, key)) for key, _ in PSI0_TERMS}
+    assert set(result.pi_terms()) == psi_keys
+    assert set(result.zeta_terms()) == psi_keys
+    assert np.array_equal(result.a_matrix, np.diag(np.diag(result.a_matrix)))
+
+
+def test_e27_is_block_orthonormal_basis_of_p27():
+    t = _tables()
+    e27, p27 = t["e27"], t["p27"]
+    assert e27.shape == (70, 27)
+    assert np.abs(e27.T @ e27 - np.eye(27)).max() < 1e-14
+    assert np.abs(p27 @ e27 - e27).max() < 1e-14
+    blocks = [set(block) for block in {tuple(np.flatnonzero(row)) for row in p27}]
+    assert sorted(map(len, blocks)) == [8] * 7 + [14]
+    assert set().union(*blocks) == set(range(70))
+    for column in e27.T:
+        assert any(set(np.flatnonzero(column)) <= block for block in blocks)
+
+
+def test_pi_computed_once_per_newton_step(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return compound4(g)
+
+    monkeypatch.setattr(pitheta, "compound4", counted)
+    rng = np.random.default_rng(110)
+    for _ in range(3):
+        calls.clear()
+        result = pi_theta(random_asd(rng, 0.05))
+        assert result.iterations >= 2
+        assert len(calls) == result.iterations + 1
 
 
 def test_rejects_non_asd():

@@ -11,6 +11,7 @@ from spin7ac.forms import (
     Form,
     Matrix,
     Vector,
+    form_from_coefficients,
     form_to_coefficients,
     gl_inf_action,
     hodge_star,
@@ -20,7 +21,9 @@ from spin7ac.forms import (
     wedge,
 )
 from spin7ac.projectors import (
+    DENOMINATORS,
     PSI0_TERMS,
+    VALID_LABELS,
     _certify,
     antisym_matrix_from_form,
     build_projectors,
@@ -34,7 +37,7 @@ from spin7ac.projectors import (
     star_matrix,
     sym0_matrix_basis,
 )
-from spin7ac.scalars import Scalar
+from spin7ac.scalars import ZERO, Scalar
 
 
 def test_psi0_explicit_terms():
@@ -169,12 +172,39 @@ def test_build_needs_no_elimination(monkeypatch):
 
 
 def test_lambda4_7_dimension_and_orthogonality(table):
+    p = table.projector(4, 7)
+    assert ratmat.rank(p) == 7
     psi = psi0()
-    assert len(table.lambda4_7_basis) == 7
-    for v in table.lambda4_7_basis:
+    basis4 = monomial_basis(8, 4)
+    for column in ratmat.transpose(p):
+        v = form_from_coefficients(8, 4, basis4, column)
         assert inner_product(v, psi).is_zero()
         # self-dual: orthogonal to every anti-self-dual form
         assert hodge_star(v) == v
+
+
+def test_table_holds_integer_numerators(table):
+    for (degree, dim), numerator in table.projectors.items():
+        assert all(type(x) is int for row in numerator for x in row)
+        denom = DENOMINATORS[degree]
+        assert table.projector(degree, dim) == [[Fraction(x, denom) for x in row] for row in numerator]
+
+
+def test_apply_matches_fraction_loop(table):
+    rng = random.Random(22)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for degree, dims in VALID_LABELS.items():
+        basis = monomial_basis(8, degree)
+        a = Form(8, degree, {key: Scalar(frac(), frac()) for key in rng.sample(basis, len(basis) // 2)})
+        vec = form_to_coefficients(a, basis)
+        for dim in dims:
+            expected = [
+                sum((v * x for x, v in zip(row, vec)), ZERO) for row in table.projector(degree, dim)
+            ]
+            assert table.apply(degree, dim, a) == form_from_coefficients(8, degree, basis, expected)
 
 
 def test_lambda3_8_injectivity(table):
@@ -244,18 +274,18 @@ def _broken_copy(table, label, edit):
     return copy
 
 
-def _off_diagonal(p):
-    p[0][1] += Fraction(1, 4)
+def _off_diagonal(n):
+    n[0][1] += 8
 
 
-def _diagonal(p):
-    p[0][0] += Fraction(1, 4)
+def _diagonal(n):
+    n[0][0] += 1
 
 
-def _other_rank7_projector(p):
-    # symmetric, idempotent and of trace 7, but not the Lambda^2_7 projector
-    for i, row in enumerate(p):
-        row[:] = [Fraction(int(i == j and i < 7)) for j in range(len(row))]
+def _other_rank7_projector(n):
+    # 32 times a symmetric idempotent of trace 7 that is not P^2_7
+    for i, row in enumerate(n):
+        row[:] = [32 * int(i == j and i < 7) for j in range(len(row))]
 
 
 @pytest.mark.parametrize(

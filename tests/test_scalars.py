@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from spin7ac.errors import InputError
-from spin7ac.scalars import SQRT5, SQRT581, SQRT2905, Scalar, sqrt_rational
+from spin7ac.scalars import ZERO, SQRT5, SQRT581, SQRT2905, Scalar, int_matvec, sqrt_rational
 
 
 def random_scalar(rng: random.Random, span: int = 12) -> Scalar:
@@ -127,3 +127,20 @@ def test_galois_norm_rational():
 def test_float_conversion():
     x = (SQRT5 - SQRT581) / 5
     assert float(x) == pytest.approx((math.sqrt(5) - math.sqrt(581)) / 5)
+
+
+def test_int_matvec_matches_scalar_sum():
+    rng = random.Random(11)
+    for trial in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        matrix = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+        # Each surd part is zero throughout the vector with probability 1/2.
+        live = [rng.random() < 0.5 for _ in range(4)]
+        vec = []
+        for _ in range(cols):
+            x = random_scalar(rng)
+            vec.append(Scalar(*(part if keep else 0 for part, keep in zip((x.a, x.b, x.c, x.d), live))))
+        denom = rng.randint(1, 250)
+        expected = [sum((v * m for m, v in zip(row, vec)), ZERO) / denom for row in matrix]
+        assert int_matvec(matrix, vec, denom) == expected
+    assert int_matvec([[1, 2]], [ZERO, ZERO], 7) == [ZERO]
