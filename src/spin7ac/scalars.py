@@ -2,17 +2,19 @@
 
 Every scalar in this package is an element
 
-    a + b*sqrt(5) + c*sqrt(581) + d*sqrt(2905),        a, b, c, d in Q,
+    (a + b*sqrt(5) + c*sqrt(581) + d*sqrt(2905)) / den,    a, b, c, d, den in Z,
 
-stored as four ``fractions.Fraction`` components.  The field is closed
+stored as four integer numerators over one denominator with den > 0 and
+gcd(a, b, c, d, den) = 1, so equal values have equal fields.  Every
+operation works on the integers and ends in one gcd.  The field is closed
 under the four operations because sqrt(5)*sqrt(581) = sqrt(2905).  All
 constants appearing in the rigidity computation (2/sqrt(5),
 (sqrt5 - sqrt581)/5, (-55 + sqrt2905)/15, ...) live here, so the whole
 pipeline runs without a single floating-point tolerance.
 
-Sign determination is exact: the biquadratic structure lets us decide
-sign(a + b*sqrt5) by comparing a^2 with 5 b^2, and then
-sign(A + B*sqrt581) with A, B in Q(sqrt5) by comparing A^2 with 581 B^2.
+Sign determination is exact: as den > 0 it is the sign of the numerator,
+decided for a + b*sqrt5 by comparing a^2 with 5 b^2, and then for
+A + B*sqrt581 with A, B in Z[sqrt5] by comparing A^2 with 581 B^2.
 """
 
 from __future__ import annotations
@@ -62,26 +64,21 @@ def strict_int(x: object, field: str) -> int:
     return x
 
 
-def _sign_fraction(p: Fraction) -> int:
+def _sign(p: int) -> int:
     return (p > 0) - (p < 0)
 
 
-def _sign_q_sqrt5(p: Fraction, q: Fraction) -> int:
+def _sign_q_sqrt5(p: int, q: int) -> int:
     """Exact sign of p + q*sqrt(5)."""
-    if q == 0:
-        return _sign_fraction(p)
-    if p == 0:
-        return _sign_fraction(q)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
+    sp, sq = _sign(p), _sign(q)
+    if sp * sq >= 0:
+        return sp or sq
     # Opposite signs: |p| vs |q|*sqrt5 decided by squaring.  p^2 = 5 q^2
     # is impossible for rational p, q != 0, so cmp is never 0 here.
-    cmp = _sign_fraction(p * p - 5 * q * q)
+    cmp = _sign(p * p - 5 * q * q)
     if cmp == 0:  # pragma: no cover
         raise ArithmeticError(f"sqrt5 would be rational: p={p}, q={q}")
-    return cmp if p > 0 else -cmp
+    return sp if cmp > 0 else sq
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction | None:
@@ -98,22 +95,28 @@ def _sqrt_fraction(q: Fraction) -> Fraction | None:
 class Scalar:
     """Immutable element of Q(sqrt5, sqrt581)."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_a", "_b", "_c", "_d", "_den")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         a: RationalLike = 0,
         b: RationalLike = 0,
         c: RationalLike = 0,
         d: RationalLike = 0,
-    ) -> None:
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+    ) -> "Scalar":
+        parts = [_frac(a), _frac(b), _frac(c), _frac(d)]
+        den = math.lcm(*(q.denominator for q in parts))
+        return _canonical(*(q.numerator * (den // q.denominator) for q in parts), den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Scalar is immutable")
+
+    # -- components ---------------------------------------------------
+
+    a = property(lambda self: Fraction(self._a, self._den))
+    b = property(lambda self: Fraction(self._b, self._den))
+    c = property(lambda self: Fraction(self._c, self._den))
+    d = property(lambda self: Fraction(self._d, self._den))
 
     # -- constructors -------------------------------------------------
 
@@ -137,64 +140,65 @@ class Scalar:
     def coerce(cls, x: "Scalar | RationalLike") -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        return cls(_frac(x))
+        return _canonical(*_parts(x))
 
     # -- ring structure -----------------------------------------------
 
+    def _plus(self, a: int, b: int, c: int, d: int, den: int) -> "Scalar":
+        n = self._den
+        if n == den:
+            return _canonical(self._a + a, self._b + b, self._c + c, self._d + d, n)
+        return _canonical(
+            self._a * den + a * n,
+            self._b * den + b * n,
+            self._c * den + c * n,
+            self._d * den + d * n,
+            n * den,
+        )
+
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
-        o = Scalar.coerce(other)
-        return Scalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        return self._plus(*_parts(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b, -self.c, -self.d)
+        return _canonical(-self._a, -self._b, -self._c, -self._d, self._den)
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
-        return self + (-Scalar.coerce(other))
+        a, b, c, d, den = _parts(other)
+        return self._plus(-a, -b, -c, -d, den)
 
     def __rsub__(self, other: "Scalar | RationalLike") -> "Scalar":
         return (-self) + other
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
-        o = Scalar.coerce(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2, den = _parts(other)
         # sqrt5^2 = 5, sqrt581^2 = 581, sqrt2905^2 = 2905,
         # sqrt5*sqrt581 = sqrt2905, sqrt5*sqrt2905 = 5 sqrt581,
         # sqrt581*sqrt2905 = 581 sqrt5.
-        return Scalar(
+        return _canonical(
             a1 * a2 + 5 * b1 * b2 + 581 * c1 * c2 + 2905 * d1 * d2,
             a1 * b2 + b1 * a2 + 581 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 5 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            self._den * den,
         )
 
     __rmul__ = __mul__
 
-    def _conj_sqrt5(self) -> "Scalar":
-        return Scalar(self.a, -self.b, self.c, -self.d)
-
-    def _conj_sqrt581(self) -> "Scalar":
-        return Scalar(self.a, self.b, -self.c, -self.d)
-
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
-        # Product of the three nontrivial Galois conjugates.
-        g1 = self._conj_sqrt5()
-        g2 = self._conj_sqrt581()
-        g3 = g1._conj_sqrt581()
-        cofactor = g1 * g2 * g3
-        norm = self * cofactor
-        if not norm.is_rational() or norm.a == 0:  # pragma: no cover
+        a, b, c, d = self._a, self._b, self._c, self._d
+        # Product of the three nontrivial Galois conjugates of the numerator x.
+        cofactor = _canonical(a, -b, c, -d, 1) * _canonical(a, b, -c, -d, 1)
+        cofactor = cofactor * _canonical(a, -b, -c, d, 1)
+        norm = _canonical(a, b, c, d, 1) * cofactor
+        if not norm.is_rational() or norm._a == 0:  # pragma: no cover
             raise ArithmeticError("field norm must be a nonzero rational")
-        return Scalar(
-            cofactor.a / norm.a,
-            cofactor.b / norm.a,
-            cofactor.c / norm.a,
-            cofactor.d / norm.a,
-        )
+        # self = x/den and x*cofactor = norm, so 1/self = cofactor*den/norm.
+        return cofactor * Fraction(self._den, norm._a)
 
     def __truediv__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self * Scalar.coerce(other).inverse()
@@ -217,10 +221,10 @@ class Scalar:
     # -- predicates and order -----------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return self._a == 0 and self._b == 0 and self._c == 0 and self._d == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.d == 0
+        return self._b == 0 and self._c == 0 and self._d == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -229,19 +233,17 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, no floating point involved."""
-        # Write self = A + B*sqrt581 with A = a + b sqrt5, B = c + d sqrt5.
-        sa = _sign_q_sqrt5(self.a, self.b)
-        sb = _sign_q_sqrt5(self.c, self.d)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # A, B have opposite signs: compare A^2 with 581 B^2 in Q(sqrt5).
+        # den > 0, so this is the sign of the numerator A + B*sqrt581 with
+        # A = a + b sqrt5, B = c + d sqrt5.
+        a, b, c, d = self._a, self._b, self._c, self._d
+        sa = _sign_q_sqrt5(a, b)
+        sb = _sign_q_sqrt5(c, d)
+        if sa * sb >= 0:
+            return sa or sb
+        # A, B have opposite signs: compare A^2 with 581 B^2 in Z[sqrt5].
         # A^2 = (a^2 + 5 b^2) + 2ab sqrt5, B^2 = (c^2 + 5 d^2) + 2cd sqrt5.
-        p = self.a * self.a + 5 * self.b * self.b - 581 * (self.c * self.c + 5 * self.d * self.d)
-        q = 2 * (self.a * self.b - 581 * self.c * self.d)
+        p = a * a + 5 * b * b - 581 * (c * c + 5 * d * d)
+        q = 2 * (a * b - 581 * c * d)
         cmp = _sign_q_sqrt5(p, q)
         if cmp == 0:
             # |A| = sqrt581 |B| would put sqrt581 in Q(sqrt5).
@@ -249,40 +251,37 @@ class Scalar:
         return sa if cmp > 0 else sb
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.coerce(other)
-        if not isinstance(other, Scalar):
+        if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
+        # Canonical form: equal values have equal fields.
+        return _parts(self) == _parts(other)
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))
 
     def __lt__(self, other: "Scalar | RationalLike") -> bool:
-        return (self - Scalar.coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: "Scalar | RationalLike") -> bool:
-        return (self - Scalar.coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: "Scalar | RationalLike") -> bool:
-        return (self - Scalar.coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: "Scalar | RationalLike") -> bool:
-        return (self - Scalar.coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     # -- conversions ---------------------------------------------------
 
     def __float__(self) -> float:
+        # Integer true division is correctly rounded, so each term is the
+        # float of its reduced Fraction.
+        den = self._den
         return (
-            float(self.a)
-            + float(self.b) * math.sqrt(5.0)
-            + float(self.c) * math.sqrt(581.0)
-            + float(self.d) * math.sqrt(2905.0)
+            self._a / den
+            + (self._b / den) * math.sqrt(5.0)
+            + (self._c / den) * math.sqrt(581.0)
+            + (self._d / den) * math.sqrt(2905.0)
         )
 
     def __repr__(self) -> str:
@@ -334,23 +333,49 @@ class Scalar:
             raise InputError(f"malformed scalar JSON: {exc}") from exc
 
 
+# The slot setters, bypassing Scalar.__setattr__.
+_set_a, _set_b, _set_c, _set_d, _set_den = (vars(Scalar)[name].__set__ for name in Scalar.__slots__)
+
+
+def _canonical(a: int, b: int, c: int, d: int, den: int) -> Scalar:
+    """(a + b sqrt5 + c sqrt581 + d sqrt2905)/den for den > 0, reduced by one gcd."""
+    g = math.gcd(a, b, c, d, den)
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    x = object.__new__(Scalar)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    _set_d(x, d)
+    _set_den(x, den)
+    return x
+
+
+def _parts(x: "Scalar | RationalLike") -> tuple[int, int, int, int, int]:
+    """The fields of a Scalar operand; anything else goes through the _frac gate."""
+    if isinstance(x, Scalar):
+        return x._a, x._b, x._c, x._d, x._den
+    if type(x) is int and -_INT_BOUND < x < _INT_BOUND:
+        return x, 0, 0, 0, 1
+    q = _frac(x)
+    return q.numerator, 0, 0, 0, q.denominator
+
+
 def int_matvec(rows: list[list[int]], vec: list[Scalar], denom: int) -> list[Scalar]:
     """rows @ vec / denom for an integer matrix and a vector of Scalars.
 
-    Per surd component: one integer product over the vector's common
-    denominator, then one Fraction per output entry.
+    One lcm over the vector's denominators, then per surd one integer row
+    sum, and one gcd per output entry.
     """
+    common = math.lcm(*(x._den for x in vec))
+    scales = [common // x._den for x in vec]
     parts = []
-    for name in Scalar.__slots__:
-        comps = [getattr(x, name) for x in vec]
-        if not any(comps):
-            parts.append([0] * len(rows))
-            continue
-        common = math.lcm(*(c.denominator for c in comps))
-        nums = [c.numerator * (common // c.denominator) for c in comps]
-        scale = common * denom
-        parts.append([Fraction(sum(map(operator.mul, row, nums)), scale) for row in rows])
-    return [Scalar(*entry) for entry in zip(*parts)]
+    for name in ("_a", "_b", "_c", "_d"):
+        nums = [getattr(x, name) * k for x, k in zip(vec, scales)]
+        live = any(nums)
+        parts.append([sum(map(operator.mul, row, nums)) if live else 0 for row in rows])
+    scale = common * denom
+    return [_canonical(a, b, c, d, scale) for a, b, c, d in zip(*parts)]
 
 
 def sqrt_rational(q: Fraction) -> Scalar | None:

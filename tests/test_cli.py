@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -227,6 +228,80 @@ def test_projector_export_bytes(capsys, label):
     code, out, err = run_cli(capsys, "projectors", "--export", label)
     assert code == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == _EXPORT_SHA256[label]
+
+
+# One fixed call of every subcommand, and sha256 of its stdout, recorded
+# while Scalar still held four Fraction components.  An argument "@name"
+# stands for a file holding _PIN_INPUTS[name].
+_PIN_INPUTS = {
+    "dense_q5": {
+        "n": 8,
+        "k": 4,
+        "terms": {
+            ",".join(map(str, idx)): {"1": f"{i + 1}/{i + 3}", "sqrt5": f"{(-1) ** i}/{i + 2}"}
+            for i, idx in enumerate(itertools.combinations(range(1, 9), 4))
+        },
+    },
+    "eta": {
+        "n": 8,
+        "k": 4,
+        "terms": {
+            "1,2,3,4": {"1": "1/50"},
+            "5,6,7,8": {"1": "-1/50"},
+            "1,2,5,6": {"1": "1/40"},
+            "3,4,7,8": {"1": "-1/40"},
+        },
+    },
+    "gamma": {
+        "rate": {"1": "-10/3", "sqrt5": "1/2"},
+        "components": [
+            {
+                "degree": 4,
+                "alpha": {
+                    "degree": 3,
+                    "terms": [{"coeff": {"1": "1/1"}, "ops": [], "atom": {"name": "phi", "degree": 3}}],
+                },
+                "beta": None,
+            }
+        ],
+    },
+}
+_STDOUT_SHA256 = {
+    "verify-algebra": (("verify-algebra",), "17fd960ef8eb193d189d50fb297b89be2e6368d567aaf92a2d9d0b93b14465fd"),
+    "projectors": (("projectors",), "0b3d55b15d200693bbaa573acb9973378172effc4142960bee798bbb082dca3a"),
+    "decompose-psi0": (("decompose", "--form", "@psi0"), "9b8b4eed3a905c7748e36938369f017ebaadba0fd1af2ee654fedc6ae2347f5e"),
+    "decompose-dense-q5": (("decompose", "--form", "@dense_q5"), "8bf88f287befb6cffa54319672fef3bf283dbd0eed959c8421c16e2de2f58f1e"),
+    "pi-theta": (("pi-theta", "--form", "@eta"), "aca6a874b1c8289e8a3edaa2f8f9210a2b755c9d4ded8ff9db6565b7f3cde1db"),
+    "cone-op": (("cone-op", "--op", "laplacian", "--form", "@gamma"), "1a62624f3285b62f7f927b014a91092699c576d60ac3b43b34f912b6d698a237"),
+    "classify-rate-even-4": (("classify-rate", "--parity", "even", "--rate=-4"), "127ef4eadd3b708f8e2bde13d097a011238fae59a89c90a6b17880ffab3fa0bc"),
+    "classify-rate-odd-3": (("classify-rate", "--parity", "odd", "--rate=-3"), "c8754361451e69c426f1adb3f4865b4b08460acfd5ca865c9f377e0aae743464"),
+    "classify-rate-even-7/3": (("classify-rate", "--parity", "even", "--rate=-7/3"), "73b9cc5fc59f5900ad0edf5a6250e3403ce8cee7f69d25074156b7cc486b9611"),
+    "critical-rates": (("critical-rates", "--eigenvalues", "7,16,135/16"), "02e217529d6fd764c15bd5bf7b555d9ff85ba8dbf0712066f0a167805b64dd1e"),
+    "moduli-dim-1/3": (("moduli-dim", "--nu=-1/3"), "fd11fd0f76eb8cf6c494de4c3c3261217ed49df2742571c65e6dfb61c918cf11"),
+    "moduli-dim-2": (("moduli-dim", "--nu=-2"), "8b21880b732fc201c22712c763799689168752b464ab152f64cfc6d7d5d36359"),
+    "casimir": (("casimir", "--k1", "2", "--k2", "1", "--l", "3"), "7cd50408e54e66ecf5e9689584611b5a198f90ff617c623086625e507e83b568"),
+    "enumerate": (("enumerate", "--lo=-30", "--hi", "0"), "e4eaba1c807c16fc32cbd5cba834d9e1f17552696b4b7341fcac48b4eeb12fd3"),
+    "bryant-salamon": (("bryant-salamon",), "da5953a159426fbccebf986522971155e62ef3d979de77fa8683f7c7d9eed708"),
+}
+
+
+@pytest.mark.parametrize("case", list(_STDOUT_SHA256))
+def test_stdout_bytes(capsys, tmp_path, case):
+    from spin7ac.cli import data_path
+
+    argv, digest = _STDOUT_SHA256[case]
+    args = []
+    for arg in argv:
+        if arg == "@psi0":
+            arg = str(data_path("psi0.json"))
+        elif arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(_PIN_INPUTS[arg[1:]]))
+            arg = str(path)
+        args.append(arg)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_missing_file_exit_code(capsys):

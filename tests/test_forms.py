@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from spin7ac import ratmat
 from spin7ac.errors import InputError
 from spin7ac.forms import (
     Form,
@@ -213,6 +215,59 @@ def test_pullback_functorial_random():
         g = Matrix([[Scalar(rng.choice(choices)) for _ in range(8)] for _ in range(8)])
         a = Form.monomial(8, tuple(sorted(rng.sample(range(1, 9), 3))))
         assert pullback(m @ g, a) == pullback(g, pullback(m, a))
+
+
+def rand_q5_form(rng: random.Random, k: int, terms: int = 5) -> Form:
+    """Random k-form on R^8 with coefficients in Q(sqrt5)."""
+    basis = monomial_basis(8, k)
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    return Form(8, k, {key: Scalar(part(), part()) for key in rng.sample(basis, min(terms, len(basis)))})
+
+
+def test_gl_inf_action_is_a_derivation_over_wedge():
+    rng = random.Random(16)
+    for _ in range(12):
+        m = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)] for _ in range(8)])
+        p = rng.randint(0, 5)
+        a, b = rand_q5_form(rng, p), rand_q5_form(rng, rng.randint(0, 8 - p))
+        expected = wedge(gl_inf_action(m, a), b) + wedge(a, gl_inf_action(m, b))
+        assert gl_inf_action(m, wedge(a, b)) == expected
+
+
+def rational_orthogonal(rng: random.Random) -> tuple[list[list[Fraction]], int]:
+    """A signed permutation times the Cayley transform (I - S)(I + S)^-1 of a
+    rational skew S, with its determinant."""
+    s = [[Fraction(0)] * 8 for _ in range(8)]
+    for i, j in combinations(range(8), 2):
+        if rng.random() < 0.3:
+            s[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            s[j][i] = -s[i][j]
+    plus = [[int(i == j) + s[i][j] for j in range(8)] for i in range(8)]
+    minus = [[int(i == j) - s[i][j] for j in range(8)] for i in range(8)]
+    reduced, _ = ratmat.rref([row + [Fraction(int(i == j)) for j in range(8)] for i, row in enumerate(plus)])
+    cayley = ratmat.mat_mul(minus, [row[8:] for row in reduced])
+    perm = rng.sample(range(8), 8)
+    signs = [rng.choice((1, -1)) for _ in range(8)]
+    g = [[signs[i] * x for x in cayley[perm[i]]] for i in range(8)]
+    det = brute_sign(perm) * math.prod(signs)
+    return g, det
+
+
+def test_pullback_by_rational_orthogonal_commutes_with_star():
+    """g* (star a) = det(g) star (g* a) for orthogonal g, det(g) = +-1."""
+    rng = random.Random(17)
+    dets = set()
+    for _ in range(8):
+        g, det = rational_orthogonal(rng)
+        assert ratmat.mat_mul(ratmat.transpose(g), g) == ratmat.identity(8)
+        dets.add(det)
+        m = Matrix(g)
+        a = rand_q5_form(rng, rng.randint(1, 4), terms=3)
+        assert pullback(m, hodge_star(a)) == hodge_star(pullback(m, a)).scale(det)
+    assert dets == {1, -1}
 
 
 def test_pullback_by_stabiliser_exponential_binary64(table):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +147,72 @@ def test_int_matvec_matches_scalar_sum():
         expected = [sum((v * m for m, v in zip(row, vec)), ZERO) / denom for row in matrix]
         assert int_matvec(matrix, vec, denom) == expected
     assert int_matvec([[1, 2]], [ZERO, ZERO], 7) == [ZERO]
+
+
+def fields(x: Scalar) -> tuple[int, int, int, int, int]:
+    return x._a, x._b, x._c, x._d, x._den
+
+
+def test_results_are_canonical():
+    """den > 0 and gcd(a, b, c, d, den) = 1 after every operation; zero is (0, 0, 0, 0)/1."""
+    rng = random.Random(12)
+    for _ in range(300):
+        x, y = random_scalar(rng), random_scalar(rng)
+        results = [x + y, x - y, x * y, -x, x * 6, x + Fraction(5, 6), Scalar(x.a, x.b, x.c, x.d)]
+        if not x.is_zero():
+            results.append(x.inverse())
+        for z in results:
+            a, b, c, d, den = fields(z)
+            assert den > 0 and math.gcd(a, b, c, d, den) == 1
+            assert Scalar(z.a, z.b, z.c, z.d) == z
+        assert fields(x - x) == fields(x * ZERO) == fields(Scalar(Fraction(0, 7))) == (0, 0, 0, 0, 1)
+    assert fields(Scalar(Fraction(2, 4), Fraction(-3, 6))) == (1, -1, 0, 0, 2)
+
+
+def test_hash_is_the_hash_of_the_fraction_components():
+    rng = random.Random(13)
+    for _ in range(200):
+        x = random_scalar(rng)
+        assert hash(x) == hash((x.a, x.b, x.c, x.d))
+    assert hash(Scalar(3)) == hash((Fraction(3), Fraction(0), Fraction(0), Fraction(0)))
+
+
+def test_float_is_the_sum_of_the_fraction_floats():
+    """Bit for bit the float of each reduced Fraction component, scaled and summed in order."""
+    rng = random.Random(14)
+    for i in range(1000):
+        span = (12, 10**6, 10**40)[i % 3]
+        x = random_scalar(rng, span)
+        expected = (
+            float(x.a)
+            + float(x.b) * math.sqrt(5.0)
+            + float(x.c) * math.sqrt(581.0)
+            + float(x.d) * math.sqrt(2905.0)
+        )
+        assert float(x).hex() == expected.hex()
+
+
+def test_outside_integers_and_literals_stay_bounded():
+    with pytest.raises(InputError):
+        Scalar(1) * 10**700
+    with pytest.raises(InputError):
+        10**700 * Scalar(1)
+    with pytest.raises(InputError):
+        Scalar(1) + 10**700
+    with pytest.raises(InputError):
+        Scalar(1) - 10**700
+    with pytest.raises(InputError):
+        Scalar("1e9999")
+    with pytest.raises(InputError):
+        Scalar(1) * True
+
+
+def test_traced_scalar_methods_are_plain_functions():
+    """The benchmark's layer tracer wraps vars(Scalar)[name] for each of these names."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert len(layertrace._SCALAR_METHODS) == 17
+    for name in layertrace._SCALAR_METHODS:
+        assert inspect.isfunction(vars(Scalar).get(name)), name
