@@ -3,6 +3,9 @@
 Output is deterministic JSON on stdout (sorted keys, canonical "p/q"
 rationals); diagnostics go to stderr.  Exit codes: 0 success, 2 bad
 arguments, 3 domain errors, 4 internal assertion failures.
+
+Only ``pi-theta`` loads numpy: it imports ``pitheta`` inside its handler,
+so the other subcommands, which are exact, start without it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import sys
 from importlib import resources
 
-from . import cones, homrep, moduli, pitheta, projectors
+from . import cones, homrep, moduli, projectors
 from .errors import InputError, InternalCheckError
 from .forms import Form, hodge_star, inner_product, monomial_basis, volume_form, wedge
 from .scalars import Scalar
@@ -104,8 +107,11 @@ def _cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def _cmd_pi_theta(args: argparse.Namespace) -> None:
+    from . import pitheta  # imported here so that only pi-theta pays for loading numpy
+
     form = Form.from_json(_read_json(args.form))
-    result = pitheta.pi_theta(form, tol=args.tol)
+    tol = pitheta.DEFAULT_TOL if args.tol is None else args.tol
+    result = pitheta.pi_theta(form, tol=tol)
     _emit(result.to_json())
 
 
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi-theta", help="tangent/normal splitting of psi0 + eta")
     p.add_argument("--form", required=True, help="path to eta as Form JSON, or -")
-    p.add_argument("--tol", type=float, default=pitheta.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.set_defaults(handler=_cmd_pi_theta)
 
     p = sub.add_parser("cone-op", help="apply a cone operator to a homogeneous form")

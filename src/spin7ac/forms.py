@@ -60,6 +60,14 @@ def merge_sign(left: IndexTuple, right: IndexTuple) -> int:
     return sign
 
 
+def _index_mask(indices: IndexTuple) -> int:
+    """Bitmask of an index tuple: two monomials overlap iff their masks do."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 class Form:
     """Alternating k-form over R^n with Scalar coefficients.
 
@@ -268,13 +276,15 @@ def wedge(a: Form, b: Form) -> Form:
     if k > a.n:
         raise InputError(f"wedge degree overflow: {a.k} + {b.k} > {a.n}")
     terms: dict[IndexTuple, Scalar] = {}
+    rights = [(right, cr, _index_mask(right)) for right, cr in b.terms.items()]
     for left, cl in a.terms.items():
-        for right, cr in b.terms.items():
-            sign = merge_sign(left, right)
-            if sign == 0:
+        lmask = _index_mask(left)
+        for right, cr, rmask in rights:
+            if lmask & rmask:  # a repeated index: the product is zero
                 continue
             key = tuple(sorted(left + right))
-            terms[key] = terms.get(key, ZERO) + cl * cr * sign
+            product, acc = cl * cr, terms.get(key, ZERO)
+            terms[key] = acc + product if merge_sign(left, right) > 0 else acc - product
     return Form(a.n, k, terms)
 
 
@@ -287,8 +297,7 @@ def hodge_star(a: Form) -> Form:
     terms: dict[IndexTuple, Scalar] = {}
     for key, value in a.terms.items():
         complement = tuple(i for i in full if i not in key)
-        sign = merge_sign(key, complement)
-        terms[complement] = value * sign
+        terms[complement] = value if merge_sign(key, complement) > 0 else -value
     return Form(a.n, a.n - a.k, terms)
 
 
@@ -305,8 +314,8 @@ def interior_product(v: Vector, a: Form) -> Form:
             if comp.is_zero():
                 continue
             reduced = key[:pos] + key[pos + 1 :]
-            sign = -1 if pos % 2 else 1
-            terms[reduced] = terms.get(reduced, ZERO) + value * comp * sign
+            product, acc = value * comp, terms.get(reduced, ZERO)
+            terms[reduced] = acc - product if pos % 2 else acc + product
     return Form(a.n, a.k - 1, terms)
 
 
@@ -370,7 +379,8 @@ def gl_inf_action(m: Matrix, a: Form) -> Form:
                 sorted_key, sign = sort_with_sign(candidate)
                 if sign == 0:
                     continue
-                terms[sorted_key] = terms.get(sorted_key, ZERO) + value * coeff * sign
+                product, acc = value * coeff, terms.get(sorted_key, ZERO)
+                terms[sorted_key] = acc + product if sign > 0 else acc - product
     return Form(a.n, a.k, terms)
 
 

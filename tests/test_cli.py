@@ -5,6 +5,8 @@ import hashlib
 import io
 import itertools
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,61 @@ def test_pi_theta_subcommand(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["residual"] <= 1e-10
+
+
+def test_pi_theta_tol_default(capsys, monkeypatch, tmp_path):
+    from spin7ac import pitheta
+
+    seen = []
+
+    class Result:
+        def to_json(self):
+            return {}
+
+    def fake_pi_theta(form, tol):
+        seen.append(tol)
+        return Result()
+
+    monkeypatch.setattr(pitheta, "pi_theta", fake_pi_theta)
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(_FORM))
+    assert run_cli(capsys, "pi-theta", "--form", str(path))[0] == 0
+    assert run_cli(capsys, "pi-theta", "--tol", "1e-9", "--form", str(path))[0] == 0
+    assert seen == [pitheta.DEFAULT_TOL, 1e-9]
+
+
+def test_cli_loads_numpy_only_for_pi_theta(tmp_path):
+    eta, gamma = tmp_path / "eta.json", tmp_path / "gamma.json"
+    eta.write_text(json.dumps(_FORM))
+    gamma.write_text(json.dumps(_PIN_INPUTS["gamma"]))
+    exact_calls = [
+        ["verify-algebra"],
+        ["projectors", "--export", "4_35"],
+        ["decompose", "--form", "@psi0"],
+        ["cone-op", "--op", "laplacian", "--form", str(gamma)],
+        ["classify-rate", "--parity", "even", "--rate=-4"],
+        ["critical-rates", "--eigenvalues", "7,16,135/16"],
+        ["moduli-dim", "--nu=-1"],
+        ["casimir", "--k1", "1", "--k2", "1", "--l", "0"],
+        ["enumerate", "--lo=-1", "--hi", "0"],
+        ["bryant-salamon"],
+    ]
+    code = f"""
+import contextlib, io, sys
+sys.path[:0] = {sys.path!r}
+from spin7ac import cli
+assert 'numpy' not in sys.modules, 'numpy imported with spin7ac.cli'
+for argv in {exact_calls!r}:
+    argv = [str(cli.data_path('psi0.json')) if a == '@psi0' else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert 'numpy' not in sys.modules, f'numpy imported by {{argv[0]}}'
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(['pi-theta', '--form', {str(eta)!r}]) == 0
+assert 'numpy' in sys.modules, 'pi-theta ran without numpy'
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cone_op_subcommand(capsys, tmp_path):
