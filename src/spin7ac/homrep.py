@@ -131,11 +131,23 @@ class CasimirRecord:
         }
 
 
-def _record(label: IrrepLabel) -> CasimirRecord:
-    cas = Fraction(-_scaled_casimir(label.k1, label.k2, label.l), 24)
+_Chains = tuple[Scalar, Scalar, Scalar, tuple[Rate, ...]]
+
+
+def _chains(n: int) -> _Chains:
+    """Casimir, mu, mu_squashed and the in-range rates of N = -24 Cas."""
+    cas = Fraction(-n, 24)
     mu = cas * Fraction(-40, 3)
-    mu_squashed = mu * Fraction(9, 5)
     lambdas = tuple(lambda_of_mu(mu)) if mu > Fraction(-1, 9) else ()
+    return Scalar(cas), Scalar(mu), Scalar(mu * Fraction(9, 5)), lambdas
+
+
+def _record(label: IrrepLabel, chains_by_n: dict[int, _Chains]) -> CasimirRecord:
+    """The record of one label; chains_by_n caches the chains per N = -24 Cas."""
+    n = _scaled_casimir(label.k1, label.k2, label.l)
+    if n not in chains_by_n:
+        chains_by_n[n] = _chains(n)
+    cas, mu, mu_squashed, lambdas = chains_by_n[n]
     printed = _PAPER_PRINTED.get((label.k1, label.k2, label.l))
     consistent: bool | None = None
     if printed is not None:
@@ -146,9 +158,9 @@ def _record(label: IrrepLabel) -> CasimirRecord:
             consistent = False
     return CasimirRecord(
         label=label,
-        casimir=Scalar(cas),
-        mu_scal42=Scalar(mu),
-        mu_squashed=Scalar(mu_squashed),
+        casimir=cas,
+        mu_scal42=mu,
+        mu_squashed=mu_squashed,
         lambdas=lambdas,
         paper_listed=printed is not None,
         paper_mu=None if printed is None else printed.get("mu"),
@@ -200,7 +212,8 @@ def enumerate_candidates(
                 l += 1
             k2 += 1
         k1 += 1
-    return [_record(IrrepLabel(k1, k2, l)) for _, k1, k2, l in sorted(found)]
+    chains_by_n: dict[int, _Chains] = {}  # many labels share one Casimir
+    return [_record(IrrepLabel(k1, k2, l), chains_by_n) for _, k1, k2, l in sorted(found)]
 
 
 def rescale_torsion_constant(c_scal42: Scalar | int | Fraction) -> Scalar:

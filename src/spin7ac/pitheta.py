@@ -11,6 +11,14 @@ complement of the stabiliser algebra inside gl(8,R) (43 + 27 = 70).  The
 Jacobian at the origin is (A, zeta) |-> gl_inf_action(A, psi0) + zeta,
 which is a linear isomorphism onto Lambda^4.
 
+Newton stays in the 70-dimensional space: pullback by exp(A) acts on
+Lambda^4 as exp(D_A), where D_A = rho(A) = sum a_i G_i over the integer
+``rho`` generators G_i of W, so pi = exp(D_A) psi0 is one action of a
+70x70 exponential on a vector (``exp_action``, a Taylor series of matvecs;
+Al-Mohy and Higham 2011).  ``matrix_exp`` and ``compound4``, the 8x8
+exponential and its 4x4 minors, remain as the independent cross-check
+(``pullback_vector``, ``spin7_group_element``).
+
 Everything in this module runs in binary64; exact Scalars are converted
 on entry.  Summation orders are fixed (numpy reductions over frozen basis
 orderings), so results are deterministic for fixed inputs.
@@ -33,6 +41,10 @@ from .scalars import Scalar
 EPSILON_BALL = 0.1  # admissible |eta|; Newton is well inside its basin here
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 50
+_ROUNDOFF = 2.0**-53  # binary64 unit roundoff: where exp_action's series stops
+_MAX_TERMS = 30  # per step |d/s|_1 <= 1/2, so term k is below 2^-k / k! of v
+_MAX_ACTION_NORM = 1024.0  # far outside Newton's basin; bounds exp_action's steps
+_NOT_REACHED = "tol may lie below attainable binary64 accuracy, or eta outside the basin"
 
 _BASIS4 = monomial_basis(8, 4)
 _INDEX4 = {key: i for i, key in enumerate(_BASIS4)}
@@ -61,6 +73,33 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def exp_action(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(d) @ v by a Taylor series of matvecs, without forming exp(d).
+
+    d is split into s = ceil(|d|_1 / 0.5) equal steps, and each step sums
+    the series until two successive terms fall below binary64 roundoff of
+    the partial sum (the truncation rule of Al-Mohy and Higham 2011).  A d
+    with non-finite 1-norm, or one above _MAX_ACTION_NORM, gives all NaN.
+    """
+    norm = float(np.linalg.norm(d, 1))
+    if not norm <= _MAX_ACTION_NORM:
+        return np.full(np.shape(v), np.nan)
+    steps = max(1, math.ceil(norm / 0.5))
+    d = d / steps
+    out = np.asarray(v, dtype=float)
+    for _ in range(steps):
+        term = out
+        previous = np.inf
+        for k in range(1, _MAX_TERMS + 1):
+            term = d @ term / k
+            out = out + term
+            size = float(np.abs(term).max())
+            if previous + size <= _ROUNDOFF * float(np.abs(out).max()):
+                break
+            previous = size
+    return out
+
+
 def compound4(g: np.ndarray) -> np.ndarray:
     """Induced action of g on Lambda^4 coefficients: the pullback matrix.
 
@@ -84,13 +123,11 @@ def _tables():
     """Float tables derived from the exact projector data (built once)."""
     table = build_projectors()
     exact_w = [Matrix.identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
-    # gl_inf_action(B, .) as a 70x70 matrix per W-basis element B.
-    glact = []
-    for b in exact_w:
-        g = np.zeros((len(_BASIS4), len(_BASIS4)))
+    # gl_inf_action(B, .) as a 70x70 matrix per W-basis element B, in one array.
+    glact = np.zeros((len(exact_w), len(_BASIS4), len(_BASIS4)))
+    for g, b in zip(glact, exact_w):
         for (row, col), value in rho(4, b).items():
             g[row, col] = value
-        glact.append(g)
     p27 = np.array(table.projector(4, 27), dtype=float)
     # P^4_27 splits into blocks (one of 14 monomials, seven of 8, from the
     # sign flips of psi0) and is dense on each, so its distinct row supports
@@ -104,7 +141,7 @@ def _tables():
         e27.append(block)
     return {
         "w_matrices": [np.array(m.rows, dtype=float) for m in exact_w],
-        "glact": glact,
+        "glact": glact,  # (43, 70, 70)
         "e27": np.hstack(e27),  # 70 x 27, orthonormal
         "p21": np.array(table.projector(2, 21), dtype=float),
         "p35": np.array(table.projector(4, 35), dtype=float),
@@ -202,7 +239,8 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
 
     eta must be anti-self-dual with |eta| < 0.1; exact Forms are checked
     exactly, float vectors up to roundoff.  Raises if Newton fails to
-    reach ``tol`` within 50 iterations (eta outside the basin).
+    reach ``tol`` within 50 iterations or its backtracking stalls: eta lies
+    outside the basin, or tol below attainable binary64 accuracy.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, not {tol!r}")
@@ -221,6 +259,7 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
     e27 = t["e27"]
     w_matrices = t["w_matrices"]
     glact = t["glact"]
+    glact_flat = glact.reshape(len(glact), -1)  # a view: D_A = a @ glact_flat
 
     a_coeffs = np.zeros(43)
     z_coeffs = np.zeros(27)
@@ -233,7 +272,7 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
         return m
 
     def residual_vec(a_c: np.ndarray, z_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pi_vec = compound4(matrix_exp(assemble(a_c))) @ psi_vec
+        pi_vec = exp_action((a_c @ glact_flat).reshape(70, 70), psi_vec)
         return pi_vec + e27 @ z_c - target, pi_vec
 
     r, pi_vec = residual_vec(a_coeffs, z_coeffs)
@@ -242,12 +281,11 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
     while rnorm > tol:
         if iterations >= MAX_ITERATIONS:
             raise InputError(
-                f"Newton did not converge: residual {rnorm:.3e} after "
-                f"{MAX_ITERATIONS} iterations (eta outside the basin?)"
+                f"Newton did not reach tol {tol:.3e}: residual {rnorm:.3e} after "
+                f"{MAX_ITERATIONS} iterations ({_NOT_REACHED})"
             )
         jac = np.empty((70, 70))
-        for i, g in enumerate(glact):
-            jac[:, i] = g @ pi_vec
+        jac[:, :43] = (glact @ pi_vec).T
         jac[:, 43:] = e27
         delta = np.linalg.solve(jac, -r)
         step = 1.0
@@ -259,7 +297,10 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
                 break
             step *= 0.5
         else:
-            raise InputError("Newton backtracking stalled (eta outside the basin?)")
+            raise InputError(
+                f"Newton backtracking stalled at residual {rnorm:.3e} > tol {tol:.3e} "
+                f"({_NOT_REACHED})"
+            )
         a_coeffs, z_coeffs, pi_vec = trial_a, trial_z, pi_trial
         r, rnorm = r_trial, float(np.linalg.norm(r_trial))
         iterations += 1

@@ -7,6 +7,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -289,7 +290,9 @@ def test_projector_export_bytes(capsys, label):
 
 # One fixed call of every subcommand, and sha256 of its stdout, recorded
 # while Scalar still held four Fraction components.  An argument "@name"
-# stands for a file holding _PIN_INPUTS[name].
+# stands for a file holding _PIN_INPUTS[name].  pi-theta was re-recorded
+# when pi became exp(rho(A)) psi0 on Lambda^4: its floats moved by at most
+# 2.2e-16, with the same term supports and iteration count.
 _PIN_INPUTS = {
     "dense_q5": {
         "n": 8,
@@ -328,7 +331,7 @@ _STDOUT_SHA256 = {
     "projectors": (("projectors",), "0b3d55b15d200693bbaa573acb9973378172effc4142960bee798bbb082dca3a"),
     "decompose-psi0": (("decompose", "--form", "@psi0"), "9b8b4eed3a905c7748e36938369f017ebaadba0fd1af2ee654fedc6ae2347f5e"),
     "decompose-dense-q5": (("decompose", "--form", "@dense_q5"), "8bf88f287befb6cffa54319672fef3bf283dbd0eed959c8421c16e2de2f58f1e"),
-    "pi-theta": (("pi-theta", "--form", "@eta"), "aca6a874b1c8289e8a3edaa2f8f9210a2b755c9d4ded8ff9db6565b7f3cde1db"),
+    "pi-theta": (("pi-theta", "--form", "@eta"), "f3e6c6591108f47462f71439b1d47b97db7272945036a9b253f3e2386f7f3d01"),
     "cone-op": (("cone-op", "--op", "laplacian", "--form", "@gamma"), "1a62624f3285b62f7f927b014a91092699c576d60ac3b43b34f912b6d698a237"),
     "classify-rate-even-4": (("classify-rate", "--parity", "even", "--rate=-4"), "127ef4eadd3b708f8e2bde13d097a011238fae59a89c90a6b17880ffab3fa0bc"),
     "classify-rate-odd-3": (("classify-rate", "--parity", "odd", "--rate=-3"), "c8754361451e69c426f1adb3f4865b4b08460acfd5ca865c9f377e0aae743464"),
@@ -433,6 +436,19 @@ def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_pi_theta_tol_below_roundoff_exits_3_with_one_line(capsys, tmp_path):
+    # An admissible eta whose Newton stalls at binary64 roundoff: the message
+    # names the residual reached and the tol, not only the basin.
+    eta = json.loads(json.dumps(_PIN_INPUTS["eta"]))
+    eta["terms"].update({"1,2,3,5": {"1": "1/60"}, "4,6,7,8": {"1": "1/60"}})
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(eta))
+    code, out, err = run_cli(capsys, "pi-theta", "--form", str(path), "--tol", "1e-300")
+    assert code == 3 and out == ""
+    assert err.startswith("error: Newton ") and err.count("\n") == 1
+    assert "residual" in err and "tol 1.000e-300" in err and "attainable binary64 accuracy" in err
+
+
 # -- property test: malformed JSON never escapes as a traceback ------------
 
 _json = st.recursive(
@@ -505,3 +521,69 @@ def test_link_json_parser_never_crashes(tmp_path_factory, payload):
 @given(op=st.sampled_from(["d", "star", "dstar", "laplacian"]), payload=_cone)
 def test_cone_json_parser_never_crashes(tmp_path_factory, op, payload):
     assert _exit_code(tmp_path_factory, ["cone-op", "--op", op, "--form"], payload) in (0, 2, 3)
+
+
+# -- property test: fuzzed CLI flags exit 0, 2 or 3, and in bounded time ----
+
+_CALL_SECONDS = 10.0  # per call; the slowest valid call here takes well under 1 s
+_junk = st.text(max_size=8)
+_rational_text = st.fractions().map(str) | st.integers().map(str) | st.floats().map(repr)
+_surd_text = st.sampled_from(["sqrt5", "1+sqrt5", "2*sqrt(5)", "-1/2 - sqrt581", "√5", "1/sqrt5"])
+_number_text = _rational_text | _surd_text | _junk
+
+
+def _timed_exit_code(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        elapsed = time.perf_counter() - start
+    assert elapsed < _CALL_SECONDS, (argv, elapsed)
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(parity=st.sampled_from(["even", "odd", "none"]), rate=_number_text)
+def test_rate_flag_fuzz(parity, rate):
+    assert _timed_exit_code(["classify-rate", "--parity", parity, f"--rate={rate}"]) in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=_number_text)
+def test_nu_flag_fuzz(nu):
+    assert _timed_exit_code(["moduli-dim", f"--nu={nu}"]) in (0, 2, 3)
+
+
+# Windows reach down to -200 but are at most two units wide, so that each
+# call stays cheap; junk on either side is fuzzed as well.
+_lo = st.fractions(min_value=-200, max_value=5, max_denominator=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=_lo, width=st.fractions(-1, 2, max_denominator=1000), junk=st.none() | _junk,
+       junk_side=st.booleans(), include_lo=st.booleans(), exclude_hi=st.booleans())
+def test_window_flags_fuzz(lo, width, junk, junk_side, include_lo, exclude_hi):
+    lo_text, hi_text = str(lo), str(lo + width)
+    if junk is not None:
+        lo_text, hi_text = (junk, hi_text) if junk_side else (lo_text, junk)
+    argv = ["enumerate", f"--lo={lo_text}", f"--hi={hi_text}"]
+    argv += ["--include-lo"] * include_lo + ["--exclude-hi"] * exclude_hi
+    assert _timed_exit_code(argv) in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k1=st.integers().map(str) | st.integers(-(10**700), 10**700).map(str) | _junk,
+       k2=st.integers(-1, 3), l=st.integers(-1, 3))
+def test_k1_flag_fuzz(k1, k2, l):
+    argv = ["casimir", f"--k1={k1}", "--k2", str(k2), "--l", str(l)]
+    assert _timed_exit_code(argv) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tol=st.floats().map(repr) | st.sampled_from(["1e-300", "5e-324", "1e308", "-0.0"]) | _junk)
+def test_tol_flag_fuzz(tmp_path_factory, tol):
+    path = tmp_path_factory.getbasetemp() / "eta.json"
+    path.write_text(json.dumps(_PIN_INPUTS["eta"]))
+    assert _timed_exit_code(["pi-theta", "--form", str(path), f"--tol={tol}"]) in (0, 2, 3)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,12 +9,13 @@ import pytest
 
 from spin7ac import pitheta
 from spin7ac.errors import InputError
-from spin7ac.forms import Form, Matrix, gl_inf_action, monomial_basis
+from spin7ac.forms import Form, Matrix, gl_inf_action, monomial_basis, rho
 from spin7ac.projectors import PSI0_TERMS, sym0_matrix_basis
 from spin7ac.pitheta import (
     DEFAULT_TOL,
     PiThetaResult,
     compound4,
+    exp_action,
     form_to_lambda4_vector,
     matrix_exp,
     pi_theta,
@@ -164,19 +166,65 @@ def test_e27_is_block_orthonormal_basis_of_p27():
 
 
 def test_pi_computed_once_per_newton_step(monkeypatch):
-    calls = []
+    # pi is exp(D_A) psi0 from the Lambda^4 kernel; the 8x8 path is unused.
+    calls, minors = [], []
 
-    def counted(g):
-        calls.append(g)
+    def counted(d, v):
+        calls.append(d)
+        return exp_action(d, v)
+
+    def counted_minors(g):
+        minors.append(g)
         return compound4(g)
 
-    monkeypatch.setattr(pitheta, "compound4", counted)
+    monkeypatch.setattr(pitheta, "exp_action", counted)
+    monkeypatch.setattr(pitheta, "compound4", counted_minors)
     rng = np.random.default_rng(110)
     for _ in range(3):
         calls.clear()
         result = pi_theta(random_asd(rng, 0.05))
         assert result.iterations >= 2
         assert len(calls) == result.iterations + 1
+    assert minors == []
+
+
+def _gl8_derivations() -> np.ndarray:
+    """rho(E_ij) on Lambda^4 as a (64, 70, 70) array, row-major over (i, j)."""
+    out = np.zeros((64, 70, 70))
+    for d, (i, j) in zip(out, itertools.product(range(1, 9), repeat=2)):
+        for (row, col), value in rho(4, Matrix.from_entries(8, {(i, j): 1})).items():
+            d[row, col] = value
+    return out
+
+
+def test_exp_action_is_pullback_by_matrix_exp():
+    # exp(rho(A)) v against the 8x8 exponential and its 4x4 minors, for A in
+    # all of gl(8) with |A|_1 up to 2, so that the kernel takes several steps.
+    generators = _gl8_derivations()
+    rng = np.random.default_rng(111)
+    for size in np.linspace(0.05, 2.0, 12):
+        a = rng.standard_normal((8, 8))
+        a *= size / np.linalg.norm(a, 1)
+        v = rng.standard_normal(70)
+        d = np.tensordot(a.reshape(64), generators, 1)
+        expected = pullback_vector(matrix_exp(a), v)
+        assert np.abs(exp_action(d, v) - expected).max() <= 1e-13
+    assert np.array_equal(exp_action(np.zeros((70, 70)), v), v)
+
+
+def test_exp_action_rejects_unbounded_derivations():
+    v = np.ones(70)
+    for value in (np.nan, np.inf, 1e300):
+        assert np.isnan(exp_action(np.full((70, 70), value), v)).all()
+
+
+def test_pi_is_pullback_of_psi0_by_exp_a():
+    rng = np.random.default_rng(112)
+    psi_vec = _tables()["psi_vec"]
+    for _ in range(30):
+        result = pi_theta(random_asd(rng, rng.uniform(0.001, 0.099)))
+        expected = pullback_vector(matrix_exp(result.a_matrix), psi_vec)
+        assert np.abs(result.pi - expected).max() <= 1e-14
 
 
 def test_rejects_non_asd():
