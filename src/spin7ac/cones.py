@@ -468,12 +468,8 @@ def _promote_single_monomials(
     return remaining, changed
 
 
-def _second_order_relation(
-    atom: Atom,
-    equations: list[LinkExpr],
-    rules: Relations,
-) -> dict[Monomial, Scalar]:
-    """Delta(atom) reduced modulo the prepended first-order system."""
+def _first_order_system(equations: list[LinkExpr], rules: Relations) -> _LinearSystem:
+    """The first-order equations with their d and d* prolongations, eliminated."""
     system = _LinearSystem()
     for eq in equations:
         system.add(eq)
@@ -482,8 +478,7 @@ def _second_order_relation(
             system.add(d_link(eq, rules))
         if 1 <= eq.degree <= 8:
             system.add(dstar_link(eq, rules))
-    delta = laplacian_link(LinkExpr.atom(atom), rules)
-    return system.reduce_expr(delta)
+    return system
 
 
 def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
@@ -512,10 +507,11 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     raw_equations = _first_order_equations(parity, lam, atoms, rules)
     equations, _ = _promote_single_monomials(list(raw_equations), rules)
 
-    # Stage 1: frozen second-order relations.
+    # Stage 1: frozen second-order relations, modulo one first-order system.
+    system = _first_order_system(equations, rules)
     frozen: dict[SlotKey, tuple[Scalar, LinkExpr]] = {}
     for key, atom in atoms.items():
-        reduced = _second_order_relation(atom, equations, rules)
+        reduced = system.reduce_expr(laplacian_link(LinkExpr.atom(atom), rules))
         c = reduced.pop(((), atom), ZERO)
         frozen[key] = (c, LinkExpr(atom.degree, reduced))
 

@@ -136,10 +136,12 @@ _Chains = tuple[Scalar, Scalar, Scalar, tuple[Rate, ...]]
 
 def _chains(n: int) -> _Chains:
     """Casimir, mu, mu_squashed and the in-range rates of N = -24 Cas."""
-    cas = Fraction(-n, 24)
-    mu = cas * Fraction(-40, 3)
-    lambdas = tuple(lambda_of_mu(mu)) if mu > Fraction(-1, 9) else ()
-    return Scalar(cas), Scalar(mu), Scalar(mu * Fraction(9, 5)), lambdas
+    mu = Fraction(5 * n, 9)
+    # mu = 5N/9 gives the roots lambda = (-11 +- sqrt(5N + 1))/3; the minus
+    # root is <= -4 for every N >= 0, and the plus root is < 0 iff
+    # 5N + 1 < 121, so only N < 24 (Cas in (-1, 0]) has rates in (-4, 0).
+    lambdas = tuple(lambda_of_mu(mu)) if n < 24 else ()
+    return Scalar.coerce(Fraction(-n, 24)), Scalar.coerce(mu), Scalar.coerce(n), lambdas
 
 
 def _record(label: IrrepLabel, chains_by_n: dict[int, _Chains]) -> CasimirRecord:
@@ -171,7 +173,7 @@ def _record(label: IrrepLabel, chains_by_n: dict[int, _Chains]) -> CasimirRecord
 
 
 # Deepest admitted window: lo >= -MAX_WINDOW_DEPTH.  The label count grows
-# like depth^2; (-200, 0] holds 23,451 labels and takes a few seconds, and
+# like depth^2; (-200, 0] holds 23,451 labels and takes about 0.2 s, and
 # a deeper window is refused (exit 3) rather than left to run for minutes.
 MAX_WINDOW_DEPTH = 200
 

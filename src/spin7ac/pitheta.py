@@ -239,7 +239,8 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
 
     eta must be anti-self-dual with |eta| < 0.1; exact Forms are checked
     exactly, float vectors up to roundoff.  Raises if Newton fails to
-    reach ``tol`` within 50 iterations or its backtracking stalls: eta lies
+    reach ``tol`` within 50 iterations, its backtracking stalls, or a step
+    leaves the residual above ``tol`` but at binary64 roundoff: eta lies
     outside the basin, or tol below attainable binary64 accuracy.
     """
     if not 0 < tol < math.inf:
@@ -277,6 +278,7 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
 
     r, pi_vec = residual_vec(a_coeffs, z_coeffs)
     rnorm = float(np.linalg.norm(r))
+    floor = 4 * _ROUNDOFF * float(np.linalg.norm(target))  # roundoff of evaluating r
     iterations = 0
     while rnorm > tol:
         if iterations >= MAX_ITERATIONS:
@@ -304,6 +306,11 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
         a_coeffs, z_coeffs, pi_vec = trial_a, trial_z, pi_trial
         r, rnorm = r_trial, float(np.linalg.norm(r_trial))
         iterations += 1
+        if tol < rnorm <= floor:
+            raise InputError(
+                f"Newton reached binary64 roundoff at residual {rnorm:.3e} > tol {tol:.3e} "
+                f"({_NOT_REACHED})"
+            )
 
     return PiThetaResult(
         a_matrix=assemble(a_coeffs),

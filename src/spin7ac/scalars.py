@@ -311,9 +311,10 @@ class Scalar:
 
     def to_json(self) -> dict[str, str]:
         out: dict[str, str] = {}
-        for coeff, tag in zip((self.a, self.b, self.c, self.d), _SURD_KEYS):
-            if coeff != 0:
-                out[tag] = f"{coeff.numerator}/{coeff.denominator}"
+        for num, tag in zip((self._a, self._b, self._c, self._d), _SURD_KEYS):
+            if num:
+                g = math.gcd(num, self._den)  # den > 0, so the sign stays on num
+                out[tag] = f"{num // g}/{self._den // g}"
         return out
 
     @classmethod

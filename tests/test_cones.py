@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from spin7ac import cones
 from spin7ac.cones import (
     HomogeneousConeForm,
     asd_closed_condition,
@@ -276,6 +279,39 @@ def test_classification_json():
     payload = classify_rate("even", -4).to_json()
     assert payload["parity"] == "even"
     assert payload["verdicts"]["0:beta"]["status"] == "forced-zero"
+
+
+# sha256 of the classify_rate JSON over every rate k/q in (-6, 0] with
+# q <= 6 (72 rates, even then odd), recorded at 8ae928f before Stage 1
+# built its first-order system once per call instead of once per slot.
+_CLASSIFY_GRID_SHA256 = "934dba6882306cf4382a858d95018671d83b930db931283794ce652f80644871"
+
+
+def test_classification_grid_is_byte_identical_to_pin():
+    rates = sorted({Fraction(k, q) for q in range(1, 7) for k in range(-6 * q + 1, 1)})
+    assert len(rates) == 72
+    lines = [
+        json.dumps(classify_rate(parity, rate).to_json(), sort_keys=True)
+        for parity in ("even", "odd")
+        for rate in rates
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_GRID_SHA256
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_classification_builds_one_linear_system(monkeypatch, parity):
+    built = []
+
+    class Counted(cones._LinearSystem):
+        def __init__(self) -> None:
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(cones, "_LinearSystem", Counted)
+    for rate in (-4, -3, Fraction(-5, 2)):
+        built.clear()
+        classify_rate(parity, rate)
+        assert len(built) == 1
 
 
 def test_one_form_critical_rates():

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin7ac.errors import InputError
 from spin7ac.forms import Form, hodge_star, wedge
@@ -27,6 +33,7 @@ from spin7ac.homrep import (
     type27_residuals,
     ud_hom_data,
 )
+from spin7ac.moduli import lambda_of_mu
 from spin7ac.scalars import SQRT5, SQRT581, SQRT2905, Scalar
 
 
@@ -131,6 +138,49 @@ def test_enumeration_refuses_irrational_and_too_deep_windows():
         enumerate_candidates(Scalar(-MAX_WINDOW_DEPTH) - Scalar(Fraction(1, 24)))
     # the deepest benchmark window stays admitted
     assert enumerate_candidates(Scalar(-100), Scalar(-99))
+
+
+# sha256 of the JSON of every record in (-200, 0], recorded at 8ae928f
+# before the chains skipped lambda_of_mu outside Cas in (-1, 0].
+_DEEPEST_WINDOW_SHA256 = "6186a15ae4e5e9500e3ed2244e06ac89a03c71c39bf63efc98bcdd947decca9d"
+
+
+def test_deepest_window_is_byte_identical_to_pin():
+    records = [r.to_json() for r in enumerate_candidates(-MAX_WINDOW_DEPTH)]
+    assert len(records) == 23451
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == _DEEPEST_WINDOW_SHA256
+
+
+def test_rates_in_range_iff_casimir_above_minus_one():
+    # every N = -24 Cas an admitted window can reach: mu = 5N/9 has rates
+    # in (-4, 0) exactly when N < 24, the bound the chains rely on
+    for n in range(24 * MAX_WINDOW_DEPTH + 1):
+        assert bool(lambda_of_mu(Fraction(5 * n, 9))) == (n < 24), n
+
+
+@settings(max_examples=5, deadline=None)
+@given(lo=st.fractions(-MAX_WINDOW_DEPTH, -100, max_denominator=48))
+def test_deep_window_fuzz(lo):
+    start = time.perf_counter()
+    records = enumerate_candidates(lo)
+    assert time.perf_counter() - start < 5.0
+    n_max = math.ceil(-24 * lo) - 1  # lo < Cas <=> N < -24 lo
+    found = [(r.label.k1, r.label.k2, r.label.l) for r in records]
+    assert all(0 <= -24 * r.casimir.as_fraction() <= n_max for r in records)
+    # -24 Cas from the docstring formula; 2 k1^2 <= N, 3 l^2 <= N and
+    # k2 <= k1 bound every label in the window
+    def n_of(k1, k2, l):
+        return 2 * (4 * k1 + k1 * k1 + 2 * k2 + k2 * k2) + 3 * (2 * l + l * l)
+
+    brute = {
+        (k1, k2, l)
+        for k1 in range(math.isqrt(n_max // 2) + 1)
+        for k2 in range(k1 + 1)
+        for l in range(math.isqrt(n_max // 3) + 1)
+        if n_of(k1, k2, l) <= n_max
+    }
+    assert len(found) == len(brute) and set(found) == brute
 
 
 def test_record_chains_and_flags():

@@ -188,6 +188,26 @@ def test_pi_computed_once_per_newton_step(monkeypatch):
     assert minors == []
 
 
+def test_newton_stops_at_roundoff(monkeypatch):
+    # tol far below binary64 accuracy: the stall is reported as soon as a
+    # step's residual sits at roundoff of psi0, not after MAX_ITERATIONS.
+    calls = []
+
+    def counted(d, v):
+        calls.append(d)
+        return exp_action(d, v)
+
+    monkeypatch.setattr(pitheta, "exp_action", counted)
+    terms = {(1, 2, 3, 4): Fraction(1, 50), (5, 6, 7, 8): Fraction(-1, 50),
+             (1, 2, 5, 6): Fraction(1, 40), (3, 4, 7, 8): Fraction(-1, 40),
+             (1, 3, 5, 8): Fraction(1, 60), (2, 4, 6, 7): Fraction(1, 60)}
+    eta = Form(8, 4, {k: Scalar(v) for k, v in terms.items()})
+    with pytest.raises(InputError, match="residual .* > tol 1.000e-300 .*binary64"):
+        pi_theta(eta, tol=1e-300)
+    assert len(calls) <= pitheta.MAX_ITERATIONS // 5
+    assert pi_theta(eta).residual <= DEFAULT_TOL
+
+
 def _gl8_derivations() -> np.ndarray:
     """rho(E_ij) on Lambda^4 as a (64, 70, 70) array, row-major over (i, j)."""
     out = np.zeros((64, 70, 70))

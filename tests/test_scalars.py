@@ -111,6 +111,23 @@ def test_json_round_trip():
         Scalar.from_json({"sqrt3": "1/1"})
 
 
+def test_to_json_matches_fraction_components():
+    rng = random.Random(15)
+    surds = [Scalar(1), SQRT5, SQRT581, SQRT2905]
+    for _ in range(2000):
+        # sparse components hit zeros and each surd alone; spans hit signs
+        x = sum(
+            (s * Fraction(rng.randint(-99, 99), rng.randint(1, 360)) for s in surds if rng.random() < 0.6),
+            ZERO,
+        )
+        expected = {
+            tag: f"{c.numerator}/{c.denominator}"
+            for c, tag in zip((x.a, x.b, x.c, x.d), ("1", "sqrt5", "sqrt581", "sqrt2905"))
+            if c != 0
+        }
+        assert x.to_json() == expected
+
+
 def test_str_smoke():
     assert str(Scalar(0)) == "0"
     assert str(Scalar(Fraction(-2, 3))) == "-2/3"
