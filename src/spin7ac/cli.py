@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 
@@ -81,6 +82,12 @@ def _cmd_verify_algebra(args: argparse.Namespace) -> None:
         raise InternalCheckError("algebra self-check failed")
 
 
+def _ratio_json(x: int, denom: int) -> dict[str, str]:
+    """``Scalar(Fraction(x, denom)).to_json()``, formatted from the integers."""
+    g = math.gcd(x, denom)
+    return {"1": f"{x // g}/{denom // g}"} if x else {}
+
+
 def _cmd_projectors(args: argparse.Namespace) -> None:
     labels = {
         f"{degree}_{dim}": (degree, dim)
@@ -93,10 +100,13 @@ def _cmd_projectors(args: argparse.Namespace) -> None:
     payload: dict = {"rank_table": table.rank_table(), "certified": True}
     if args.export:
         degree, dim = labels[args.export]
+        denom = projectors.DENOMINATORS[degree]
         payload["projector"] = {
             "label": args.export,
             "basis": [",".join(map(str, key)) for key in monomial_basis(8, degree)],
-            "matrix": [[Scalar(x).to_json() for x in row] for row in table.projector(degree, dim)],
+            "matrix": [
+                [_ratio_json(x, denom) for x in row] for row in table.projectors[(degree, dim)]
+            ],
         }
     _emit(payload)
 

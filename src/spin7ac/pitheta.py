@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InputError
 from .forms import Form, Matrix, monomial_basis, norm_squared, rho
-from .projectors import build_projectors, psi0, sym0_matrix_basis
+from .projectors import DENOMINATORS, build_projectors, psi0, sym0_matrix_basis
 from .scalars import Scalar
 
 EPSILON_BALL = 0.1  # admissible |eta|; Newton is well inside its basin here
@@ -128,7 +128,12 @@ def _tables():
     for g, b in zip(glact, exact_w):
         for (row, col), value in rho(4, b).items():
             g[row, col] = value
-    p27 = np.array(table.projector(4, 27), dtype=float)
+    # N / D in binary64 division of exact small ints: correctly rounded, so
+    # bit-identical to float(Fraction(N, D)).
+    def projector(degree: int, dim: int) -> np.ndarray:
+        return np.array(table.projectors[(degree, dim)], dtype=float) / DENOMINATORS[degree]
+
+    p27 = projector(4, 27)
     # P^4_27 splits into blocks (one of 14 monomials, seven of 8, from the
     # sign flips of psi0) and is dense on each, so its distinct row supports
     # are the blocks; eigh per block keeps their zeros exact (6 + 7 * 3).
@@ -143,8 +148,8 @@ def _tables():
         "w_matrices": [np.array(m.rows, dtype=float) for m in exact_w],
         "glact": glact,  # (43, 70, 70)
         "e27": np.hstack(e27),  # 70 x 27, orthonormal
-        "p21": np.array(table.projector(2, 21), dtype=float),
-        "p35": np.array(table.projector(4, 35), dtype=float),
+        "p21": projector(2, 21),
+        "p35": projector(4, 35),
         "p27": p27,
         "psi_vec": _form_to_float(psi0()),
         "lambda21": [np.array(m.rows, dtype=float) for m in table.lambda2_21_matrices],

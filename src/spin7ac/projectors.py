@@ -24,7 +24,12 @@ N^2_21 / 8 at e_i ^ e_j with 2 <= i < j.
 
 Every numerator is certified exact: symmetric, idempotent, with trace
 (= rank) equal to the advertised dimension, mutually annihilating and
-summing to the identity per degree.
+summing to the identity per degree.  The numerators are 3-14% nonzero, and
+the certificate's 16 products (and A^T A, C C^T, A A^T) run on them as
+row-sparse integer products: ``ratmat.mat_mul`` touches only nonzero
+entries.  No ``Fraction`` is built on the way: ``projectors --export``
+formats each entry from its numerator and D, and the Pi/Theta float tables
+divide N by D in binary64.
 """
 
 from __future__ import annotations

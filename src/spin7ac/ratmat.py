@@ -2,8 +2,15 @@
 
 Matrices are dense lists of lists of ``int`` or ``Fraction``: the
 arithmetic helpers (``mat_mul``, ``trace``, ``is_symmetric``, ...) work
-unchanged on either, ``identity`` and ``zeros`` return ints, and the
-projector table is built and certified with them on integer numerators.
+unchanged on either, and ``identity`` and ``zeros`` return ints.
+``mat_mul`` skips zero entries: it keeps each row of the right factor as
+its nonzero (column, value) pairs and adds a[i][k] * b[k][j] into row i
+only for nonzero a[i][k], so its cost follows the nonzeros, not the shape
+(the projector numerators are 3-14% nonzero).  The projector table is
+built and certified on integer numerators with ``mat_mul``, ``transpose``,
+``mat_add``, ``mat_sub``, ``mat_scale``, ``identity``, ``zeros``,
+``trace`` and ``is_symmetric``.
+
 The elimination helpers (``rank``, ``rref``, ``nullspace``,
 ``gram_schmidt``, ``projector_onto_span``) are not used by the build;
 they are the independent reference the tests compare it against.  Rank
@@ -32,8 +39,18 @@ def zeros(rows: int, cols: int) -> RatMatrix:
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    """a b, adding a[i][k] * b[k][j] into row i over the nonzero entries only."""
+    cols = len(b[0]) if b else 0
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out: RatMatrix = []
+    for row in a:
+        acc = [0] * cols
+        for x, b_row in zip(row, sparse_b):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -165,6 +165,12 @@ def test_e27_is_block_orthonormal_basis_of_p27():
         assert any(set(np.flatnonzero(column)) <= block for block in blocks)
 
 
+@pytest.mark.parametrize("key, degree, dim", [("p21", 2, 21), ("p27", 4, 27), ("p35", 4, 35)])
+def test_float_projectors_are_float_of_fractions(table, key, degree, dim):
+    expected = np.array(table.projector(degree, dim), dtype=float)
+    assert _tables()[key].tobytes() == expected.tobytes()
+
+
 def test_pi_computed_once_per_newton_step(monkeypatch):
     # pi is exp(D_A) psi0 from the Lambda^4 kernel; the 8x8 path is unused.
     calls, minors = [], []

@@ -171,6 +171,63 @@ def test_build_needs_no_elimination(monkeypatch):
     assert rebuilt.projectors == build_projectors().projectors
 
 
+def test_certificate_makes_sixteen_products(table, monkeypatch):
+    # 8 squares (N N = D N) and the 8 pairwise products per degree: 1 + 1 + 6.
+    calls = []
+    product = ratmat.mat_mul
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return product(a, b)
+
+    monkeypatch.setattr(ratmat, "mat_mul", counting)
+    _certify(table.projectors)
+    assert len(calls) == 16
+    assert sorted(set(calls)) == [(28, 28), (56, 56), (70, 70)]
+
+
+def _naive_product(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(inner)), 0) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
+def _random_matrix(rng, rows, cols, density, entry):
+    m = [[entry(rng) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and cols > 1:  # one all-zero row and one all-zero column
+        m[rng.randrange(rows)] = [0] * cols
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def _int_entry(rng):
+    return rng.randint(-9, 9)
+
+
+def _fraction_entry(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+@pytest.mark.parametrize("entry", [_int_entry, _fraction_entry])
+def test_mat_mul_matches_triple_loop(entry):
+    rng = random.Random(2021)
+    shapes = [(1, 1, 1), (5, 5, 5), (3, 7, 4), (7, 2, 6), (1, 6, 1), (6, 1, 6), (12, 12, 12)]
+    for rows, inner, cols in shapes:
+        for density in (0.0, 0.05, 0.3, 0.7, 1.0):
+            a = _random_matrix(rng, rows, inner, density, entry)
+            b = _random_matrix(rng, inner, cols, density, entry)
+            assert ratmat.mat_mul(a, b) == _naive_product(a, b)
+    assert ratmat.mat_mul([[entry(rng)]], [[0]]) == [[0]]
+    assert ratmat.mat_mul([], [[1, 2]]) == []
+    assert ratmat.mat_mul([[], []], []) == [[], []]
+    assert ratmat.mat_mul([[1], [2]], [[]]) == [[], []]
+
+
 def test_lambda4_7_dimension_and_orthogonality(table):
     p = table.projector(4, 7)
     assert ratmat.rank(p) == 7
@@ -288,12 +345,19 @@ def _other_rank7_projector(n):
         row[:] = [32 * int(i == j and i < 7) for j in range(len(row))]
 
 
+def _rank6_projector(n):
+    # 32 times a symmetric idempotent of trace 6: the trace check is the first to fail
+    for i, row in enumerate(n):
+        row[:] = [32 * int(i == j and i < 6) for j in range(len(row))]
+
+
 @pytest.mark.parametrize(
     "label, edit, message",
     [
         ((2, 7), _off_diagonal, "not symmetric"),
         ((3, 48), _diagonal, "not idempotent"),
         ((2, 7), _other_rank7_projector, "sum to Id|not orthogonal"),
+        ((2, 7), _rank6_projector, r"projector Lambda\^2_7: trace 6 != expected rank 7$"),
     ],
 )
 def test_certificate_rejects_broken_tables(table, label, edit, message):
