@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
+from .ratmat import IntMatrix
 from .scalars import ZERO, Scalar, strict_int
 
 IndexTuple = tuple[int, ...]
@@ -384,24 +385,23 @@ def gl_inf_action(m: Matrix, a: Form) -> Form:
     return Form(a.n, a.k, terms)
 
 
-def rho(k: int, b: Matrix) -> dict[tuple[int, int], int]:
+def rho(k: int, b: IntMatrix) -> dict[tuple[int, int], int]:
     """gl_inf_action(b, .) on Lambda^k (R^8)* as a sparse integer matrix.
 
-    Maps (row, column) positions in monomial_basis(8, k) to the nonzero
-    entries.  For b = E_ij it is a signed index substitution: dx_I with i
-    in I goes to sign * dx_J, J = I with i replaced by j.  b must have
-    integer entries.
+    b is an 8x8 list of ``int`` rows.  Maps (row, column) positions in
+    monomial_basis(8, k) to the nonzero entries.  For b = E_ij it is a
+    signed index substitution: dx_I with i in I goes to sign * dx_J, J = I
+    with i replaced by j.
     """
-    if b.n != 8:
+    if len(b) != 8 or any(len(row) != 8 for row in b):
         raise InputError("rho is defined for 8x8 matrices")
     row_entries: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(b.rows, 1):
+    for i, row in enumerate(b, 1):
         for j, x in enumerate(row, 1):
-            value = x.as_fraction()
-            if value.denominator != 1:
-                raise InputError(f"rho needs an integer matrix, not entry {value}")
-            if value:
-                row_entries.setdefault(i, []).append((j, value.numerator))
+            if type(x) is not int:
+                raise InputError(f"rho needs an integer matrix, not entry {x}")
+            if x:
+                row_entries.setdefault(i, []).append((j, x))
     basis = monomial_basis(8, k)
     index = {key: i for i, key in enumerate(basis)}
     out: dict[tuple[int, int], int] = {}

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .forms import Form, hodge_star, wedge
 from .moduli import (
     Contribution,
@@ -466,7 +466,10 @@ def bryant_salamon_link_data() -> LinkData:
 
 
 def bryant_salamon_pipeline() -> RigidityReport:
-    """End-to-end rigidity computation over the squashed 7-sphere."""
+    """End-to-end rigidity computation over the squashed 7-sphere.
+
+    It reads no input, so a failed check of its tables is an InternalCheckError.
+    """
     records = enumerate_candidates(Scalar(-1), Scalar(0))
     verdicts: list[CandidateVerdict] = []
     confirmed: list[Contribution] = []
@@ -476,12 +479,12 @@ def bryant_salamon_pipeline() -> RigidityReport:
     ud = ud_hom_data()
     for value in ud.all_values():
         if not is_type27(value):
-            raise InputError("action-table entry fails the type-27 certification")
+            raise InternalCheckError("action-table entry fails the type-27 certification")
     ud_coefficient = hom_obstruction_coefficient(
         ud, LAMBDA_BAR_PAPER, "e4", (1, 2, 3, 4)
     )
     if ud_coefficient.is_zero():
-        raise InputError("UD obstruction coefficient unexpectedly vanished")
+        raise InternalCheckError("UD obstruction coefficient unexpectedly vanished")
 
     for record in records:
         label = (record.label.k1, record.label.k2, record.label.l)
@@ -545,7 +548,8 @@ def bryant_salamon_pipeline() -> RigidityReport:
         if contributed:
             verdict = "contributes"
             lam = record.lambdas[0]
-            assert lam.exact and lam.value is not None
+            if not lam.exact or lam.value is None:
+                raise InternalCheckError(f"{record.label}: contributing rate is not exact")
             confirmed.append(
                 Contribution(
                     rate=lam.value,
@@ -562,10 +566,10 @@ def bryant_salamon_pipeline() -> RigidityReport:
     if tuple((c.rate, c.dim) for c in expected) != tuple(
         (c.rate, c.dim) for c in link.contributions
     ):
-        raise InputError("confirmed E-table disagrees with the built-in link data")
+        raise InternalCheckError("confirmed E-table disagrees with the built-in link data")
     check = scaling_contribution(link, BS_RATE)
     if not check.valid:
-        raise InputError(f"scaling-contribution validation failed: {check.reason}")
+        raise InternalCheckError(f"scaling-contribution validation failed: {check.reason}")
 
     dims: dict[str, int] = {}
     for nu in (Fraction(-7, 2), Fraction(-3), Fraction(-2), Fraction(-1), Fraction(-1, 2)):

@@ -34,8 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .forms import Form, Matrix, monomial_basis, norm_squared, rho
+from .forms import Form, monomial_basis, norm_squared, rho
 from .projectors import DENOMINATORS, build_projectors, psi0, sym0_matrix_basis
+from .ratmat import identity
 from .scalars import Scalar
 
 EPSILON_BALL = 0.1  # admissible |eta|; Newton is well inside its basin here
@@ -52,7 +53,7 @@ _ROWS = np.array(_BASIS4) - 1  # (70, 4), 0-based
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a fixed-order series.
+    """The matrix exponential by scaling-and-squaring with a fixed-order series.
 
     Relative error below 1e-12 for |m| <= 1 (the only regime we use).
     """
@@ -122,7 +123,7 @@ def _form_to_float(a: Form) -> np.ndarray:
 def _tables():
     """Float tables derived from the exact projector data (built once)."""
     table = build_projectors()
-    exact_w = [Matrix.identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
+    exact_w = [identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
     # gl_inf_action(B, .) as a 70x70 matrix per W-basis element B, in one array.
     glact = np.zeros((len(exact_w), len(_BASIS4), len(_BASIS4)))
     for g, b in zip(glact, exact_w):
@@ -145,14 +146,14 @@ def _tables():
         block[idx] = kept
         e27.append(block)
     return {
-        "w_matrices": [np.array(m.rows, dtype=float) for m in exact_w],
+        "w_matrices": [np.array(m, dtype=float) for m in exact_w],
         "glact": glact,  # (43, 70, 70)
         "e27": np.hstack(e27),  # 70 x 27, orthonormal
         "p21": projector(2, 21),
         "p35": projector(4, 35),
         "p27": p27,
         "psi_vec": _form_to_float(psi0()),
-        "lambda21": [np.array(m.rows, dtype=float) for m in table.lambda2_21_matrices],
+        "lambda21": [np.array(m, dtype=float) for m in table.lambda2_21_matrices],
     }
 
 

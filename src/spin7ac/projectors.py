@@ -43,7 +43,6 @@ from .errors import InputError, InternalCheckError
 from .forms import (
     Form,
     IndexTuple,
-    Matrix,
     Vector,
     form_from_coefficients,
     form_to_coefficients,
@@ -55,10 +54,10 @@ from .forms import (
     norm_squared,
     rho,
 )
+from .ratmat import IntMatrix
 from .scalars import Scalar, int_matvec
 
 TypeLabel = tuple[int, int]  # (degree, dimension), e.g. (4, 35)
-IntMatrix = list[list[int]]
 
 VALID_LABELS: dict[int, tuple[int, ...]] = {2: (7, 21), 3: (8, 48), 4: (1, 7, 27, 35)}
 
@@ -113,30 +112,36 @@ def g2_phi_seven() -> Form:
 # -- matrix <-> 2-form bookkeeping ---------------------------------------
 
 
-def antisym_matrix_from_form(omega: Form) -> Matrix:
-    """dx_i ^ dx_j  |->  E_ij - E_ji (an isometry up to the global factor 2)."""
-    entries: dict[tuple[int, int], Scalar] = {}
-    for (i, j), value in omega.terms.items():
+def _int_matrix(entries: dict[tuple[int, int], int]) -> IntMatrix:
+    """The 8x8 int matrix with the given 1-based entries, zero elsewhere."""
+    return [[entries.get((i, j), 0) for j in range(1, 9)] for i in range(1, 9)]
+
+
+def antisym_matrix(coeffs: list[int]) -> IntMatrix:
+    """sum c_ij (E_ij - E_ji) for 2-form coefficients over monomial_basis(8, 2).
+
+    dx_i ^ dx_j  |->  E_ij - E_ji is an isometry up to the global factor 2.
+    """
+    entries: dict[tuple[int, int], int] = {}
+    for (i, j), value in zip(monomial_basis(8, 2), coeffs):
         entries[(i, j)] = value
         entries[(j, i)] = -value
-    return Matrix.from_entries(omega.n, entries)
+    return _int_matrix(entries)
 
 
-def sym0_matrix_basis() -> list[Matrix]:
+def sym0_matrix_basis() -> list[IntMatrix]:
     """Basis of traceless symmetric 8x8 matrices: E_ij + E_ji and E_11 - E_kk."""
     out = [
-        Matrix.from_entries(8, {(i, j): 1, (j, i): 1})
+        _int_matrix({(i, j): 1, (j, i): 1})
         for i in range(1, 9)
         for j in range(i + 1, 9)
     ]
-    out.extend(
-        Matrix.from_entries(8, {(1, 1): 1, (k, k): -1}) for k in range(2, 9)
-    )
+    out.extend(_int_matrix({(1, 1): 1, (k, k): -1}) for k in range(2, 9))
     return out
 
 
 def star_matrix(n: int, k: int) -> IntMatrix:
-    """Matrix of the Hodge star from degree k to degree n-k monomial bases."""
+    """The Hodge star from degree k to degree n-k as an int matrix over the monomial bases."""
     src = monomial_basis(n, k)
     dst = monomial_basis(n, n - k)
     index = {key: i for i, key in enumerate(dst)}
@@ -154,13 +159,14 @@ class ProjectorTable:
 
     ``projectors`` maps (degree, dim) to the integer numerator
     N = DENOMINATORS[degree] * P of the projector P over the lexicographic
-    monomial basis of Lambda^degree (R^8)*.  The auxiliary bases are kept
-    because the Pi/Theta solver needs them.
+    monomial basis of Lambda^degree (R^8)*.  The auxiliary bases of
+    Lambda^2_21 and Lambda^2_7, as 8x8 int matrices, are kept because the
+    Pi/Theta solver needs them.
     """
 
     projectors: dict[TypeLabel, IntMatrix]
-    lambda2_21_matrices: list[Matrix]
-    lambda2_7_matrices: list[Matrix]
+    lambda2_21_matrices: list[IntMatrix]
+    lambda2_7_matrices: list[IntMatrix]
 
     def _numerator(self, degree: int, dim: int) -> IntMatrix:
         try:
@@ -168,7 +174,7 @@ class ProjectorTable:
         except KeyError:
             raise InputError(f"no Spin(7) type Lambda^{degree}_{dim}") from None
 
-    def projector(self, degree: int, dim: int) -> ratmat.RatMatrix:
+    def projector(self, degree: int, dim: int) -> list[list[Fraction]]:
         """The exact projector P = N / D."""
         denom = DENOMINATORS[degree]
         return [[Fraction(x, denom) for x in row] for row in self._numerator(degree, dim)]
@@ -201,9 +207,9 @@ def build_projectors() -> ProjectorTable:
     psi_vec = _integer_vector(psi, basis4)
     # A (70 x 28): column e_i ^ e_j is rho_4(E_ij - E_ji) psi0.
     a_cols = []
-    for key in basis2:
+    for unit in ratmat.identity(len(basis2)):
         col = [0] * len(basis4)
-        action = rho(4, antisym_matrix_from_form(Form.monomial(8, key)))
+        action = rho(4, antisym_matrix(unit))
         for (row, c), value in action.items():
             col[row] += value * psi_vec[c]
         a_cols.append(col)
@@ -232,21 +238,15 @@ def build_projectors() -> ProjectorTable:
 
     _certify(table)
 
-    def antisym(vec: list[int]) -> Matrix:
-        return antisym_matrix_from_form(form_from_coefficients(8, 2, basis2, vec))
-
     # Columns of N / 8 = 4 P (integral; rows, since N is symmetric) at
     # e_1 ^ e_j for Lambda^2_7 and at e_i ^ e_j, 2 <= i < j, for Lambda^2_21.
-    lambda2_7 = [[x // 8 for x in table[(2, 7)][col]] for col in range(7)]
-    lambda2_21 = [
-        [x // 8 for x in table[(2, 21)][col]]
-        for col, key in enumerate(basis2)
-        if key[0] >= 2
-    ]
+    def columns(dim: int, cols: list[int]) -> list[IntMatrix]:
+        return [antisym_matrix([x // 8 for x in table[(2, dim)][col]]) for col in cols]
+
     return ProjectorTable(
         projectors=table,
-        lambda2_21_matrices=[antisym(vec) for vec in lambda2_21],
-        lambda2_7_matrices=[antisym(vec) for vec in lambda2_7],
+        lambda2_21_matrices=columns(21, [col for col, key in enumerate(basis2) if key[0] >= 2]),
+        lambda2_7_matrices=columns(7, list(range(7))),
     )
 
 

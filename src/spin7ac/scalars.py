@@ -257,7 +257,10 @@ class Scalar:
         return _parts(self) == _parts(other)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+        # Equal to an int or Fraction of the same value, as __eq__ requires.
+        if self.is_rational():
+            return hash(Fraction(self._a, self._den))
+        return hash((self._a, self._b, self._c, self._d, self._den))
 
     def __lt__(self, other: "Scalar | RationalLike") -> bool:
         return (self - other).sign() < 0

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import ratref
 
 from spin7ac import ratmat
 from spin7ac.cones import (
@@ -127,7 +128,7 @@ def test_criterion_03_stabiliser_dimension():
             columns.append(
                 [c.as_fraction() for c in form_to_coefficients(image, basis4)]
             )
-    kernel_dim = len(ratmat.nullspace(ratmat.transpose(columns)))
+    kernel_dim = len(ratref.nullspace(ratmat.transpose(columns)))
     ok = kernel_dim == 21
     report("3", ok, f"dim null(gl_inf_action(., psi0)) on gl(8) = {kernel_dim} (orbit codim 27)")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -8,11 +9,13 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spin7ac
 from spin7ac.cli import main
 
 
@@ -162,6 +165,21 @@ assert 'numpy' in sys.modules, 'pi-theta ran without numpy'
     assert result.returncode == 0, result.stderr
 
 
+def test_pi_theta_holds_the_only_function_local_import():
+    # Imports belong at module level; the one exception keeps numpy out of
+    # every subcommand but pi-theta.
+    local = []
+    for path in sorted(Path(spin7ac.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert local == [("cli", "_cmd_pi_theta")]
+
+
 def test_cone_op_subcommand(capsys, tmp_path):
     gamma = {
         "rate": {"1": "0/1"},
@@ -219,6 +237,25 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 4
     assert "internal check failed" in captured.err
+
+
+def test_pipeline_self_check_exit_code(capsys, monkeypatch):
+    # bryant-salamon reads no input: a failed check of its built-in tables
+    # is an internal failure (exit 4), not a domain error (exit 3).
+    import dataclasses
+
+    from spin7ac import homrep
+    from spin7ac.forms import Form
+
+    verbatim = homrep.ud_hom_data
+
+    def not_type27():
+        return dataclasses.replace(verbatim(), direct={"e4": Form.monomial(7, (1, 2, 3))})
+
+    monkeypatch.setattr(homrep, "ud_hom_data", not_type27)
+    code, out, err = run_cli(capsys, "bryant-salamon")
+    assert code == 4 and not out
+    assert err.startswith("internal check failed:") and err.count("\n") == 1
 
 
 def test_projectors_subcommand(capsys):

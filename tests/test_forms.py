@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import ratref
 
 from spin7ac import ratmat
 from spin7ac.errors import InputError
@@ -247,7 +248,7 @@ def rational_orthogonal(rng: random.Random) -> tuple[list[list[Fraction]], int]:
             s[j][i] = -s[i][j]
     plus = [[int(i == j) + s[i][j] for j in range(8)] for i in range(8)]
     minus = [[int(i == j) - s[i][j] for j in range(8)] for i in range(8)]
-    reduced, _ = ratmat.rref([row + [Fraction(int(i == j)) for j in range(8)] for i, row in enumerate(plus)])
+    reduced, _ = ratref.rref([row + [Fraction(int(i == j)) for j in range(8)] for i, row in enumerate(plus)])
     cayley = ratmat.mat_mul(minus, [row[8:] for row in reduced])
     perm = rng.sample(range(8), 8)
     signs = [rng.choice((1, -1)) for _ in range(8)]
@@ -276,7 +277,7 @@ def test_pullback_by_stabiliser_exponential_binary64(table):
     from spin7ac.pitheta import compound4, matrix_exp, _form_to_float
 
     a = table.lambda2_21_matrices[5]
-    a_float = np.array([[float(x) for x in row] for row in a.rows])
+    a_float = np.array([[float(x) for x in row] for row in a])
     psi_vec = _form_to_float(psi0())
     for t in (0.1, 0.02):
         g = matrix_exp(t * a_float)
@@ -317,7 +318,9 @@ def test_rho_sums_to_gl_inf_action_random():
     # sum_ij m_ij rho_k(E_ij), applied to the coefficients of a, is gl_inf_action(m, a).
     rng = random.Random(15)
     units = {
-        (i, j): Matrix.from_entries(8, {(i, j): 1}) for i in range(1, 9) for j in range(1, 9)
+        (i, j): [[int((r, c) == (i, j)) for c in range(1, 9)] for r in range(1, 9)]
+        for i in range(1, 9)
+        for j in range(1, 9)
     }
     for k in range(1, 8):
         basis = monomial_basis(8, k)
@@ -339,11 +342,15 @@ def test_rho_sums_to_gl_inf_action_random():
 
 def test_rho_is_a_signed_substitution_and_refuses_fractions():
     for i, j in ((1, 1), (2, 7)):
-        action = rho(4, Matrix.from_entries(8, {(i, j): 1}))
+        unit = ratmat.zeros(8, 8)
+        unit[i - 1][j - 1] = 1
+        action = rho(4, unit)
         assert len(action) == (35 if i == j else 20)
         assert set(action.values()) <= {1, -1}
+    half = ratmat.zeros(8, 8)
+    half[0][1] = Fraction(1, 2)
     with pytest.raises(InputError):
-        rho(4, Matrix.from_entries(8, {(1, 2): Fraction(1, 2)}))
+        rho(4, half)
 
 
 def test_gl_inf_action_matches_finite_differences():

@@ -10,7 +10,7 @@ import pytest
 from spin7ac import pitheta
 from spin7ac.errors import InputError
 from spin7ac.forms import Form, Matrix, gl_inf_action, monomial_basis, rho
-from spin7ac.projectors import PSI0_TERMS, sym0_matrix_basis
+from spin7ac.projectors import PSI0_TERMS, build_projectors, sym0_matrix_basis
 from spin7ac.pitheta import (
     DEFAULT_TOL,
     PiThetaResult,
@@ -130,11 +130,24 @@ def test_a_stabiliser_component_is_the_projection_norm():
 def test_glact_is_gl_inf_action(table):
     # The rho-built tables against the exact action, column by column.
     glact = _tables()["glact"]
-    w = [Matrix.identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
+    w = [Matrix.identity(8)] + [Matrix(m) for m in sym0_matrix_basis() + table.lambda2_7_matrices]
     for i in (0, 10, 35, 36, 42):
         for col, key in enumerate(monomial_basis(8, 4)):
             image = gl_inf_action(w[i], Form.monomial(8, key))
             assert np.array_equal(glact[i][:, col], form_to_lambda4_vector(image))
+
+
+def test_build_and_tables_make_no_matrix(monkeypatch):
+    # The Spin(7) build path runs on int matrices: no forms.Matrix is made.
+    def refuse(self, rows):
+        raise AssertionError("forms.Matrix constructed")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    assert build_projectors.__wrapped__() == build_projectors()
+    rebuilt = _tables.__wrapped__()
+    assert np.array_equal(rebuilt["glact"], _tables()["glact"])
+    with pytest.raises(AssertionError, match="forms.Matrix constructed"):
+        Matrix.identity(8)
 
 
 def test_pi_theta_keeps_exact_zeros():
@@ -218,7 +231,8 @@ def _gl8_derivations() -> np.ndarray:
     """rho(E_ij) on Lambda^4 as a (64, 70, 70) array, row-major over (i, j)."""
     out = np.zeros((64, 70, 70))
     for d, (i, j) in zip(out, itertools.product(range(1, 9), repeat=2)):
-        for (row, col), value in rho(4, Matrix.from_entries(8, {(i, j): 1})).items():
+        unit = [[int((r, c) == (i, j)) for c in range(1, 9)] for r in range(1, 9)]
+        for (row, col), value in rho(4, unit).items():
             d[row, col] = value
     return out
 

@@ -186,12 +186,18 @@ def test_results_are_canonical():
     assert fields(Scalar(Fraction(2, 4), Fraction(-3, 6))) == (1, -1, 0, 0, 2)
 
 
-def test_hash_is_the_hash_of_the_fraction_components():
+def test_hash_agrees_with_equal_ints_and_fractions():
+    # Scalar(3) == 3 and Scalar(1/2) == Fraction(1, 2), so their hashes must agree.
     rng = random.Random(13)
     for _ in range(200):
         x = random_scalar(rng)
-        assert hash(x) == hash((x.a, x.b, x.c, x.d))
-    assert hash(Scalar(3)) == hash((Fraction(3), Fraction(0), Fraction(0), Fraction(0)))
+        assert hash(x) == hash(Scalar(x.a, x.b, x.c, x.d))
+        rational = Scalar(x.a)
+        assert rational == x.a and hash(rational) == hash(x.a)
+    for value in (3, -7, 0, Fraction(1, 2), Fraction(-22, 7)):
+        assert Scalar(value) == value and hash(Scalar(value)) == hash(value)
+        assert {Scalar(value): "x"}.get(value) == "x"
+        assert {value: "x"}.get(Scalar(value)) == "x"
 
 
 def test_float_is_the_sum_of_the_fraction_floats():
