@@ -36,12 +36,20 @@ def _rational(text: str) -> Scalar:
         raise InputError(f"not a rational: {text!r}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if a key repeats (json would keep only the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise InputError("JSON object repeats a key")
+    return obj
+
+
 def _read_json(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise InputError("JSON input is nested too deeply") from exc
     except ValueError as exc:  # also an integer past the int-to-str digit limit

@@ -135,7 +135,10 @@ class HomogeneousConeForm:
             for item in obj.get("components", []):
                 alpha = item.get("alpha")
                 beta = item.get("beta")
-                comps[strict_int(item["degree"], "cone degree")] = (
+                degree = strict_int(item["degree"], "cone degree")
+                if degree in comps:
+                    raise InputError(f"cone degree {degree} given twice")
+                comps[degree] = (
                     None if alpha is None else LinkExpr.from_json(alpha),
                     None if beta is None else LinkExpr.from_json(beta),
                 )

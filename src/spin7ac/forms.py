@@ -6,6 +6,10 @@ monomial basis dx_I is orthonormal, and the orientation is
 dx_1 ^ ... ^ dx_n positive.  Permutation signs are computed by counting
 inversions, so a degree-overflow wedge raises instead of silently
 returning zero.
+
+``wedge`` and ``pullback`` sum integer numerators (a, b, c, d) over one
+denominator per operand and reduce each output coefficient by one gcd.
+Results built from valid Forms skip key validation but drop zero terms.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .ratmat import IntMatrix
-from .scalars import ZERO, Scalar, strict_int
+from .scalars import ZERO, Scalar, _canonical, common_numerators, strict_int
 
 IndexTuple = tuple[int, ...]
 
@@ -69,6 +73,49 @@ def _index_mask(indices: IndexTuple) -> int:
     return mask
 
 
+def _above(mask: int) -> int:
+    """XOR over the indices r in mask of the mask of all indices above r.
+
+    Each index r of right passes the indices of left above r, so
+    merge_sign(left, right) = (-1)^popcount(mask(left) & _above(mask(right))).
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= -(low << 1)  # ~((low << 1) - 1): every bit above low
+        mask ^= low
+    return out
+
+
+def _wedge_into(acc: dict[int, tuple], lefts: Iterable[tuple], rights: Sequence[tuple]) -> None:
+    """acc[l | r] += merge_sign * x * y over the disjoint monomial pairs, in integers.
+
+    Monomials are bitmasks, coefficients numerators (a, b, c, d); lefts are
+    (mask, numerators) and rights (mask, _above(mask), numerators).  The
+    product uses sqrt5 sqrt581 = sqrt2905 and the squares 5, 581 and 2905.
+    """
+    for lmask, (a1, b1, c1, d1) in lefts:
+        for rmask, above, (a2, b2, c2, d2) in rights:
+            if lmask & rmask:
+                continue
+            sign = -1 if (lmask & above).bit_count() & 1 else 1
+            a, b, c, d = acc.get(lmask | rmask, (0, 0, 0, 0))
+            acc[lmask | rmask] = (
+                a + sign * (a1 * a2 + 5 * b1 * b2 + 581 * c1 * c2 + 2905 * d1 * d2),
+                b + sign * (a1 * b2 + b1 * a2 + 581 * (c1 * d2 + d1 * c2)),
+                c + sign * (a1 * c2 + c1 * a2 + 5 * (b1 * d2 + d1 * b2)),
+                d + sign * (a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2),
+            )
+
+
+def _from_numerators(n: int, k: int, acc: Mapping[int, tuple], den: int) -> "Form":
+    """The k-form sum (numerators / den) dx_mask over acc: one gcd per coefficient."""
+    terms = {}
+    for mask, (a, b, c, d) in acc.items():
+        terms[tuple(i for i in range(1, n + 1) if mask >> i & 1)] = _canonical(a, b, c, d, den)
+    return Form._from_valid(n, k, terms)
+
+
 class Form:
     """Alternating k-form over R^n with Scalar coefficients.
 
@@ -97,6 +144,15 @@ class Form:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Form is immutable")
+
+    @classmethod
+    def _from_valid(cls, n: int, k: int, terms: Mapping[IndexTuple, Scalar]) -> "Form":
+        """A Form whose keys are known valid degree-k monomials over R^n; drops zeros."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "n", n)
+        object.__setattr__(form, "k", k)
+        object.__setattr__(form, "terms", {key: v for key, v in terms.items() if not v.is_zero()})
+        return form
 
     @classmethod
     def zero(cls, n: int, k: int) -> "Form":
@@ -128,20 +184,19 @@ class Form:
         self._check_match(other)
         terms = dict(self.terms)
         for key, value in other.terms.items():
-            terms[key] = terms.get(key, ZERO) + value
-        return Form(self.n, self.k, terms)
+            old = terms.get(key)
+            terms[key] = value if old is None else old + value
+        return Form._from_valid(self.n, self.k, terms)
 
     def __neg__(self) -> "Form":
-        return Form(self.n, self.k, {key: -value for key, value in self.terms.items()})
+        return Form._from_valid(self.n, self.k, {key: -value for key, value in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, factor: Scalar | int) -> "Form":
         f = Scalar.coerce(factor)
-        if f.is_zero():
-            return Form(self.n, self.k)
-        return Form(self.n, self.k, {key: value * f for key, value in self.terms.items()})
+        return Form._from_valid(self.n, self.k, {key: value * f for key, value in self.terms.items()})
 
     def __mul__(self, factor: Scalar | int) -> "Form":
         return self.scale(factor)
@@ -175,10 +230,13 @@ class Form:
     def from_json(cls, obj: Mapping) -> "Form":
         try:
             n, k = strict_int(obj["n"], "n"), strict_int(obj["k"], "k")
-            terms = {
-                tuple(int(part) for part in key.split(",")) if key else (): Scalar.from_json(value)
-                for key, value in obj.get("terms", {}).items()
-            }
+            terms = {}
+            for key, value in obj.get("terms", {}).items():
+                t = tuple(int(part) for part in key.split(",")) if key else ()
+                canonical = ",".join(map(str, t))
+                if key != canonical:  # one spelling per monomial: no two keys name one
+                    raise InputError(f"form key {key!r} is not written as {canonical!r}")
+                terms[t] = Scalar.from_json(value)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed form JSON: {exc}") from exc
         return cls(n, k, terms)
@@ -243,6 +301,8 @@ class Matrix:
     def from_entries(cls, n: int, entries: Mapping[tuple[int, int], Scalar | int]) -> "Matrix":
         rows = [[ZERO for _ in range(n)] for _ in range(n)]
         for (i, j), value in entries.items():
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise InputError(f"matrix entry ({i}, {j}) out of range 1..{n}")
             rows[i - 1][j - 1] = Scalar.coerce(value)
         return cls(rows)
 
@@ -276,17 +336,12 @@ def wedge(a: Form, b: Form) -> Form:
     k = a.k + b.k
     if k > a.n:
         raise InputError(f"wedge degree overflow: {a.k} + {b.k} > {a.n}")
-    terms: dict[IndexTuple, Scalar] = {}
-    rights = [(right, cr, _index_mask(right)) for right, cr in b.terms.items()]
-    for left, cl in a.terms.items():
-        lmask = _index_mask(left)
-        for right, cr, rmask in rights:
-            if lmask & rmask:  # a repeated index: the product is zero
-                continue
-            key = tuple(sorted(left + right))
-            product, acc = cl * cr, terms.get(key, ZERO)
-            terms[key] = acc + product if merge_sign(left, right) > 0 else acc - product
-    return Form(a.n, k, terms)
+    lnums, lden = common_numerators(list(a.terms.values()))
+    rnums, rden = common_numerators(list(b.terms.values()))
+    rights = [(mask, _above(mask), x) for mask, x in zip(map(_index_mask, b.terms), rnums)]
+    acc: dict[int, tuple] = {}
+    _wedge_into(acc, zip(map(_index_mask, a.terms), lnums), rights)
+    return _from_numerators(a.n, k, acc, lden * rden)
 
 
 def hodge_star(a: Form) -> Form:
@@ -299,7 +354,7 @@ def hodge_star(a: Form) -> Form:
     for key, value in a.terms.items():
         complement = tuple(i for i in full if i not in key)
         terms[complement] = value if merge_sign(key, complement) > 0 else -value
-    return Form(a.n, a.n - a.k, terms)
+    return Form._from_valid(a.n, a.n - a.k, terms)
 
 
 def interior_product(v: Vector, a: Form) -> Form:
@@ -342,22 +397,38 @@ def volume_form(n: int) -> Form:
 def pullback(m: Matrix, a: Form) -> Form:
     """Pullback (m^* a)(v_1, ..., v_k) = a(m v_1, ..., m v_k).
 
-    Built from wedge: m^* dx_I = m^* dx_i1 ^ ... ^ m^* dx_ik with
-    m^* dx_i = sum_j m_ij dx_j.  Functorial in the contravariant sense:
-    pullback(m @ g, a) == pullback(g, pullback(m, a)).
+    m^* dx_I = sum_J det m[I, J] dx_J.  The minors of the rows P + (i,) are
+    those of P wedged with row i (expansion along the last row), memoised
+    by row prefix P, so keys of a with a common prefix share them.  The
+    keys P + (i,) of a are summed first: m^* sum_i c_i dx_P ^ dx_i is the
+    minors of P wedged with sum_i c_i (row i).  Functorial in the
+    contravariant sense: pullback(m @ g, a) == pullback(g, pullback(m, a)).
     """
     if m.n != a.n:
         raise InputError(f"dimension mismatch: R^{m.n} vs R^{a.n}")
     if a.k == 0:
         return a
-    rows = [Form(a.n, 1, {(j,): x for j, x in enumerate(row, 1)}) for row in m.rows]
-    total = Form.zero(a.n, a.k)
-    for key, value in a.terms.items():
-        term = rows[key[0] - 1].scale(value)
-        for i in key[1:]:
-            term = wedge(term, rows[i - 1])
-        total = total + term
-    return total
+    n = a.n
+    entries, mden = common_numerators([x for row in m.rows for x in row])
+    # Row i as the 1-forms (mask, above, numerators) of its nonzero entries.
+    rows = [
+        [(1 << j, _above(1 << j), x) for j, x in enumerate(entries[i * n : (i + 1) * n], 1) if any(x)]
+        for i in range(n)
+    ]
+    coeffs, aden = common_numerators(list(a.terms.values()))
+    last_rows: dict[IndexTuple, dict[int, tuple]] = {}
+    for key, c in zip(a.terms, coeffs):
+        _wedge_into(last_rows.setdefault(key[:-1], {}), [(0, c)], rows[key[-1] - 1])
+    minors: dict[IndexTuple, list[tuple[int, tuple]]] = {(): [(0, (1, 0, 0, 0))]}
+    acc: dict[int, tuple] = {}
+    for prefix, row in last_rows.items():
+        for r in range(1, len(prefix) + 1):
+            if prefix[:r] not in minors:
+                step: dict[int, tuple] = {}
+                _wedge_into(step, minors[prefix[: r - 1]], rows[prefix[r - 1] - 1])
+                minors[prefix[:r]] = [(mask, x) for mask, x in step.items() if any(x)]
+        _wedge_into(acc, minors[prefix], [(mask, _above(mask), x) for mask, x in row.items() if any(x)])
+    return _from_numerators(n, a.k, acc, aden * mden**a.k)
 
 
 def gl_inf_action(m: Matrix, a: Form) -> Form:
@@ -430,4 +501,5 @@ def form_to_coefficients(a: Form, basis: Sequence[IndexTuple]) -> list[Scalar]:
 def form_from_coefficients(
     n: int, k: int, basis: Sequence[IndexTuple], coeffs: Iterable[Scalar | int]
 ) -> Form:
-    return Form(n, k, dict(zip(basis, (Scalar.coerce(c) for c in coeffs))))
+    """The form sum c_I dx_I; basis must be degree-k monomials over R^n (as monomial_basis)."""
+    return Form._from_valid(n, k, dict(zip(basis, map(Scalar.coerce, coeffs))))

@@ -27,14 +27,15 @@ Every numerator is certified exact: symmetric, idempotent, with trace
 summing to the identity per degree.  The numerators are 3-14% nonzero, and
 the certificate's 16 products (and A^T A, C C^T, A A^T) run on them as
 row-sparse integer products: ``ratmat.mat_mul`` touches only nonzero
-entries.  No ``Fraction`` is built on the way: ``projectors --export``
-formats each entry from its numerator and D, and the Pi/Theta float tables
-divide N by D in binary64.
+entries.  ``apply`` does the same with each numerator's rows kept
+row-sparse in the table.  No ``Fraction`` is built on the way:
+``projectors --export`` formats each entry from its numerator and D, and
+the Pi/Theta float tables divide N by D in binary64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,7 +55,7 @@ from .forms import (
     norm_squared,
     rho,
 )
-from .ratmat import IntMatrix
+from .ratmat import IntMatrix, SparseRows
 from .scalars import Scalar, int_matvec
 
 TypeLabel = tuple[int, int]  # (degree, dimension), e.g. (4, 35)
@@ -159,7 +160,9 @@ class ProjectorTable:
 
     ``projectors`` maps (degree, dim) to the integer numerator
     N = DENOMINATORS[degree] * P of the projector P over the lexicographic
-    monomial basis of Lambda^degree (R^8)*.  The auxiliary bases of
+    monomial basis of Lambda^degree (R^8)*.  ``rows`` holds each numerator
+    row-sparse, as its nonzero (column, value) pairs per row, made once
+    with the table; ``apply`` multiplies those.  The auxiliary bases of
     Lambda^2_21 and Lambda^2_7, as 8x8 int matrices, are kept because the
     Pi/Theta solver needs them.
     """
@@ -167,17 +170,21 @@ class ProjectorTable:
     projectors: dict[TypeLabel, IntMatrix]
     lambda2_21_matrices: list[IntMatrix]
     lambda2_7_matrices: list[IntMatrix]
+    rows: dict[TypeLabel, SparseRows] = field(init=False, repr=False, compare=False)
 
-    def _numerator(self, degree: int, dim: int) -> IntMatrix:
-        try:
-            return self.projectors[(degree, dim)]
-        except KeyError:
-            raise InputError(f"no Spin(7) type Lambda^{degree}_{dim}") from None
+    def __post_init__(self) -> None:
+        sparse = {label: ratmat.sparse_rows(n) for label, n in self.projectors.items()}
+        object.__setattr__(self, "rows", sparse)
+
+    def _label(self, degree: int, dim: int) -> TypeLabel:
+        if (degree, dim) not in self.projectors:
+            raise InputError(f"no Spin(7) type Lambda^{degree}_{dim}")
+        return (degree, dim)
 
     def projector(self, degree: int, dim: int) -> list[list[Fraction]]:
         """The exact projector P = N / D."""
         denom = DENOMINATORS[degree]
-        return [[Fraction(x, denom) for x in row] for row in self._numerator(degree, dim)]
+        return [[Fraction(x, denom) for x in row] for row in self.projectors[self._label(degree, dim)]]
 
     def rank_table(self) -> dict[str, int]:
         return {
@@ -190,7 +197,7 @@ class ProjectorTable:
             raise InputError(f"expected a {degree}-form over R^8")
         basis = monomial_basis(8, degree)
         vec = form_to_coefficients(a, basis)
-        out = int_matvec(self._numerator(degree, dim), vec, DENOMINATORS[degree])
+        out = int_matvec(self.rows[self._label(degree, dim)], vec, DENOMINATORS[degree])
         return form_from_coefficients(8, degree, basis, out)
 
 

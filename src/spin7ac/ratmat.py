@@ -3,7 +3,8 @@
 Matrices are dense lists of lists of ``int``.  The helpers use only
 ``+``, ``-``, ``*`` and ``==`` on the entries, so they apply unchanged to
 ``Fraction`` matrices too.  ``mat_mul`` skips zero entries: it keeps each
-row of the right factor as its nonzero (column, value) pairs and adds
+row of the right factor as its nonzero (column, value) pairs
+(``sparse_rows``, the form ``scalars.int_matvec`` takes too) and adds
 a[i][k] * b[k][j] into row i only for nonzero a[i][k], so its cost follows
 the nonzeros, not the shape (the projector numerators are 3-14% nonzero).
 The projector table is built and certified on integer numerators with
@@ -13,6 +14,7 @@ these helpers alone; no elimination runs.
 from __future__ import annotations
 
 IntMatrix = list[list[int]]
+SparseRows = list[list[tuple[int, int]]]
 
 
 def identity(n: int) -> IntMatrix:
@@ -23,10 +25,15 @@ def zeros(rows: int, cols: int) -> IntMatrix:
     return [[0] * cols for _ in range(rows)]
 
 
+def sparse_rows(a: IntMatrix) -> SparseRows:
+    """Each row of a as its nonzero (column, value) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a b, adding a[i][k] * b[k][j] into row i over the nonzero entries only."""
     cols = len(b[0]) if b else 0
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    sparse_b = sparse_rows(b)
     out: IntMatrix = []
     for row in a:
         acc = [0] * cols

@@ -20,10 +20,9 @@ A + B*sqrt581 with A, B in Z[sqrt5] by comparing A^2 with 581 B^2.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import InputError
 
@@ -365,19 +364,33 @@ def _parts(x: "Scalar | RationalLike") -> tuple[int, int, int, int, int]:
     return q.numerator, 0, 0, 0, q.denominator
 
 
-def int_matvec(rows: list[list[int]], vec: list[Scalar], denom: int) -> list[Scalar]:
-    """rows @ vec / denom for an integer matrix and a vector of Scalars.
+def common_numerators(xs: Sequence[Scalar]) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The integer numerators (a, b, c, d) of each x over one common denominator.
 
-    One lcm over the vector's denominators, then per surd one integer row
-    sum, and one gcd per output entry.
+    One lcm over the denominators: x = (a + b sqrt5 + c sqrt581 + d sqrt2905) / common.
     """
-    common = math.lcm(*(x._den for x in vec))
-    scales = [common // x._den for x in vec]
+    common = math.lcm(*(x._den for x in xs))
+    out = []
+    for x in xs:
+        k = common // x._den
+        out.append((x._a * k, x._b * k, x._c * k, x._d * k))
+    return out, common
+
+
+def int_matvec(rows: list[list[tuple[int, int]]], vec: list[Scalar], denom: int) -> list[Scalar]:
+    """rows @ vec / denom for a row-sparse integer matrix and a vector of Scalars.
+
+    Each row is its nonzero (column, value) pairs (``ratmat.sparse_rows``).
+    The vector goes to integer numerators over one common denominator, then
+    per surd one integer row sum over the nonzero entries, and one gcd per
+    output entry.
+    """
+    nums, common = common_numerators(vec)
     parts = []
-    for name in ("_a", "_b", "_c", "_d"):
-        nums = [getattr(x, name) * k for x, k in zip(vec, scales)]
-        live = any(nums)
-        parts.append([sum(map(operator.mul, row, nums)) if live else 0 for row in rows])
+    for surd in range(4):
+        part = [x[surd] for x in nums]
+        live = any(part)
+        parts.append([sum([v * part[j] for j, v in row]) if live else 0 for row in rows])
     scale = common * denom
     return [_canonical(a, b, c, d, scale) for a, b, c, d in zip(*parts)]
 

@@ -447,6 +447,14 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         (["enumerate", "--lo=-1e9"], None),
         (["casimir", "--k1", "9" * 2200, "--k2", "0", "--l", "0"], None),
         (["pi-theta", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3,4": "9e600"}}),
+        (["decompose", "--form"], {"n": 8, "k": 2, "terms": {"1,2": "1", "01,2": "3"}}),
+        (["decompose", "--form"], {"n": 8, "k": 2, "terms": {"1,2": "1", " 1, 2": "3"}}),
+        (["decompose", "--form"], b'{"n": 8, "k": 2, "terms": {"1,2": "1", "1,2": "3"}}'),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [
+             {"degree": 2, "alpha": {"degree": 2, "terms": [{"coeff": "1", "atom": {"name": "a", "degree": 2}}]},
+              "beta": None},
+             {"degree": 2, "alpha": None}]}),
     ],
     ids=[
         "n-not-an-integer", "float-term", "float-surd-part", "zero-denominator", "terms-list",
@@ -456,7 +464,8 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         "json-int-too-long", "float-and-bool-integer-fields", "bool-term",
         "float-link-dim", "bool-dim-E", "float-cone-degree", "float-atom-degree",
         "bool-expr-degree", "enumerate-too-deep", "casimir-label-too-long",
-        "eta-beyond-float-range",
+        "eta-beyond-float-range", "form-key-leading-zero", "form-key-spaces",
+        "form-key-repeated", "cone-degree-repeated",
     ],
 )
 def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):

@@ -342,6 +342,12 @@ def test_hcf_json_round_trip():
     psi, _ = psi_cone()
     again = HomogeneousConeForm.from_json(psi.to_json())
     assert again == psi
+    # A repeated degree would replace the earlier component, hiding its error.
+    bad = {"degree": 2, "alpha": LinkExpr.atom(Atom("a", 2)).to_json(), "beta": None}
+    with pytest.raises(InputError, match="dr-slot of degree-2 component"):
+        HomogeneousConeForm.from_json({"rate": "0", "components": [bad]})
+    with pytest.raises(InputError, match="cone degree 2 given twice"):
+        HomogeneousConeForm.from_json({"rate": "0", "components": [bad, {"degree": 2, "alpha": None}]})
 
 
 def test_hcf_validation():

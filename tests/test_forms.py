@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+import formref
 import numpy as np
 import pytest
 import ratref
@@ -218,6 +219,94 @@ def test_pullback_functorial_random():
         assert pullback(m @ g, a) == pullback(g, pullback(m, a))
 
 
+def surd_scalar(rng: random.Random) -> Scalar:
+    """All four surd parts, each with a non-integral denominator most of the time."""
+    return Scalar(*(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)))
+
+
+def surd_form(rng: random.Random, n: int, k: int, terms: int) -> Form:
+    basis = monomial_basis(n, k)
+    return Form(n, k, {key: surd_scalar(rng) for key in rng.sample(basis, min(terms, len(basis)))})
+
+
+def surd_matrices(rng: random.Random, n: int) -> list[Matrix]:
+    """Dense, sparse rational, with zero rows and rank-deficient n x n matrices."""
+    dense = [[surd_scalar(rng) for _ in range(n)] for _ in range(n)]
+    sparse = [[Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) if rng.random() < 0.3 else 0
+               for _ in range(n)] for _ in range(n)]
+    zero_rows = [row if i % 3 else [0] * n for i, row in enumerate(dense)]
+    # row 3 = row 1 + row 2 / 2 and rows 4, 5 proportional: rank n - 2
+    deficient = [list(row) for row in dense]
+    deficient[2] = [x + y * Fraction(1, 2) for x, y in zip(dense[0], dense[1])]
+    deficient[4] = [x * Scalar(0, Fraction(-2, 3)) for x in dense[3]]
+    return [Matrix(rows) for rows in (dense, sparse, zero_rows, deficient)]
+
+
+def holds_no_zero(a: Form) -> bool:
+    return all(not value.is_zero() for value in a.terms.values())
+
+
+def test_wedge_matches_per_pair_reference():
+    rng = random.Random(41)
+    for n in (7, 8):
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
+                a = surd_form(rng, n, p, 4)
+                b = surd_form(rng, n, q, 4)
+                out = wedge(a, b)
+                assert out == formref.wedge(a, b)
+                assert holds_no_zero(out)
+    dense = Form(8, 2, {key: surd_scalar(rng) for key in monomial_basis(8, 2)})
+    other = Form(8, 3, {key: surd_scalar(rng) for key in monomial_basis(8, 3)})
+    assert wedge(dense, other) == formref.wedge(dense, other)
+
+
+def test_pullback_matches_wedge_chain_reference():
+    rng = random.Random(42)
+    for n in (7, 8):
+        for m in surd_matrices(rng, n):
+            for k in range(n + 1):
+                a = surd_form(rng, n, k, 3)
+                out = pullback(m, a)
+                assert out == formref.pullback(m, a)
+                assert holds_no_zero(out)
+
+
+def test_wedge_and_pullback_cancel_to_the_zero_form():
+    rng = random.Random(43)
+    for n in (7, 8):
+        odd = surd_form(rng, n, 3, 6)
+        assert wedge(odd, odd).is_zero() and wedge(odd, odd).terms == {}
+        for m in surd_matrices(rng, n)[2:]:  # a zero row; rank n - 2
+            top = pullback(m, volume_form(n))
+            assert top.is_zero() and top.terms == {}
+    # rows 1 and 2 equal: dx_1 ^ dx_3 - dx_2 ^ dx_3 pulls back to zero,
+    # and so does the degree-2 term alone, each key's minors cancelling.
+    rows = [[surd_scalar(rng) for _ in range(8)] for _ in range(8)]
+    rows[1] = rows[0]
+    m = Matrix(rows)
+    across_keys = Form(8, 2, {(1, 3): Scalar(1), (2, 3): Scalar(-1)})
+    assert pullback(m, across_keys).terms == {}
+    assert pullback(m, Form.monomial(8, (1, 2))).terms == {}
+
+
+def test_wedge_and_pullback_reduce_once_per_output_coefficient(canonical_calls):
+    rng = random.Random(44)
+    for n in (7, 8):
+        m = Matrix([[surd_scalar(rng) for _ in range(n)] for _ in range(n)])
+        for k in range(n + 1):
+            a = Form(n, k, {key: surd_scalar(rng) for key in monomial_basis(n, k)})
+            p = rng.randint(0, k)
+            b = Form(n, p, {key: surd_scalar(rng) for key in monomial_basis(n, p)})
+            c = Form(n, k - p, {key: surd_scalar(rng) for key in monomial_basis(n, k - p)})
+            before = canonical_calls[0]
+            wedge(b, c)
+            assert canonical_calls[0] - before <= math.comb(n, k)
+            before = canonical_calls[0]
+            pullback(m, a)
+            assert canonical_calls[0] - before <= math.comb(n, k)
+
+
 def rand_q5_form(rng: random.Random, k: int, terms: int = 5) -> Form:
     """Random k-form on R^8 with coefficients in Q(sqrt5)."""
     basis = monomial_basis(8, k)
@@ -390,6 +479,13 @@ def test_form_json_round_trip():
     assert Form.from_json(scalar_form.to_json()) == scalar_form
     with pytest.raises(InputError):
         Form.from_json({"n": 8})
+    # One spelling per monomial: "01,2" or " 1, 2" would silently merge with "1,2".
+    for key in ("01,2", " 1,2", "1, 2", "+1,2", "0_1,2"):
+        with pytest.raises(InputError, match="not written as '1,2'"):
+            Form.from_json({"n": 8, "k": 2, "terms": {"1,2": "1", key: "3"}})
+    for key in ("1,2,", ",", " "):
+        with pytest.raises(InputError):
+            Form.from_json({"n": 8, "k": 2, "terms": {key: "1"}})
 
 
 def test_form_validation():
@@ -400,6 +496,11 @@ def test_form_validation():
     with pytest.raises(InputError):
         Form(6, 2, {})
     assert Form(8, 2, {(1, 2): Scalar(0)}).is_zero()
+    # Matrix entries are 1-based; index 0 would wrap to row or column n.
+    assert Matrix.from_entries(8, {(8, 8): 1}).entry(8, 8) == Scalar(1)
+    for cell in ((0, 1), (1, 0), (9, 1), (1, 9), (-1, 2)):
+        with pytest.raises(InputError, match="out of range 1..8"):
+            Matrix.from_entries(8, {cell: 1})
 
 
 def test_norm_squared():

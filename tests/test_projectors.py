@@ -8,7 +8,7 @@ import pytest
 import ratref
 
 import spin7ac
-from spin7ac import ratmat
+from spin7ac import projectors, ratmat
 from spin7ac.errors import InputError, InternalCheckError
 from spin7ac.forms import (
     Form,
@@ -26,6 +26,7 @@ from spin7ac.forms import (
 from spin7ac.projectors import (
     DENOMINATORS,
     PSI0_TERMS,
+    ProjectorTable,
     VALID_LABELS,
     _certify,
     antisym_matrix,
@@ -265,6 +266,39 @@ def test_apply_matches_fraction_loop(table):
                 sum((v * x for x, v in zip(row, vec)), ZERO) for row in table.projector(degree, dim)
             ]
             assert table.apply(degree, dim, a) == form_from_coefficients(8, degree, basis, expected)
+
+
+def test_table_rows_are_the_numerators_nonzero_entries(table):
+    assert table.rows.keys() == table.projectors.keys()
+    for label, numerator in table.projectors.items():
+        rows = table.rows[label]
+        assert all(value for row in rows for _, value in row)
+        dense = [[0] * len(numerator[0]) for _ in rows]
+        for i, row in enumerate(rows):
+            for j, value in row:
+                dense[i][j] = value
+        assert dense == numerator
+
+
+def test_apply_reduces_once_per_basis_element(table, canonical_calls):
+    rng = random.Random(23)
+    for degree, dims in VALID_LABELS.items():
+        basis = monomial_basis(8, degree)
+        a = Form(8, degree, {key: Scalar(*(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)))
+                             for key in basis})
+        for dim in dims:
+            before = canonical_calls[0]
+            table.apply(degree, dim, a)
+            assert canonical_calls[0] - before <= len(basis)
+
+
+def test_decompose_refuses_a_corrupted_numerator(table, monkeypatch):
+    a = Form(8, 4, {(1, 2, 3, 4): Scalar(1, Fraction(1, 3)), (5, 6, 7, 8): Scalar(2)})
+    broken = _broken_copy(table, (4, 27), _diagonal)  # basis element 0 is dx_1234
+    copy = ProjectorTable(broken, table.lambda2_21_matrices, table.lambda2_7_matrices)
+    monkeypatch.setattr(projectors, "build_projectors", lambda: copy)
+    with pytest.raises(InternalCheckError, match="^type components do not sum to the input$"):
+        decompose(a)
 
 
 def test_lambda3_8_injectivity(table):

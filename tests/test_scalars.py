@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from spin7ac.errors import InputError
+from spin7ac.ratmat import sparse_rows
 from spin7ac.scalars import ZERO, SQRT5, SQRT581, SQRT2905, Scalar, int_matvec, sqrt_rational
 
 
@@ -162,8 +163,8 @@ def test_int_matvec_matches_scalar_sum():
             vec.append(Scalar(*(part if keep else 0 for part, keep in zip((x.a, x.b, x.c, x.d), live))))
         denom = rng.randint(1, 250)
         expected = [sum((v * m for m, v in zip(row, vec)), ZERO) / denom for row in matrix]
-        assert int_matvec(matrix, vec, denom) == expected
-    assert int_matvec([[1, 2]], [ZERO, ZERO], 7) == [ZERO]
+        assert int_matvec(sparse_rows(matrix), vec, denom) == expected
+    assert int_matvec(sparse_rows([[1, 2]]), [ZERO, ZERO], 7) == [ZERO]
 
 
 def fields(x: Scalar) -> tuple[int, int, int, int, int]:
