@@ -184,7 +184,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
         include_lo=args.include_lo,
         include_hi=not args.exclude_hi,
     )
-    _emit({"records": [r.to_json() for r in records]})
+    _emit({"records": homrep.records_json(records)})
 
 
 def _cmd_bryant_salamon(args: argparse.Namespace) -> None:

@@ -7,9 +7,14 @@ dx_1 ^ ... ^ dx_n positive.  Permutation signs are computed by counting
 inversions, so a degree-overflow wedge raises instead of silently
 returning zero.
 
-``wedge`` and ``pullback`` sum integer numerators (a, b, c, d) over one
-denominator per operand and reduce each output coefficient by one gcd.
-Results built from valid Forms skip key validation but drop zero terms.
+``wedge``, ``pullback``, ``gl_inf_action``, ``interior_product`` and
+``inner_product`` sum integer numerators (a, b, c, d) over one
+denominator per operand and reduce each output coefficient by one gcd;
+all but the last accumulate through one kernel, ``_wedge_into``.
+``gl_inf_action`` is the derivation sum_i theta_i ^ (e_i -| a) with theta_i
+row i of the matrix as a 1-form, and ``interior_product`` wedges each
+e_i -| a with the 0-form v_i.  Results built from valid Forms skip key
+validation but drop zero terms.
 """
 
 from __future__ import annotations
@@ -357,33 +362,56 @@ def hodge_star(a: Form) -> Form:
     return Form._from_valid(a.n, a.n - a.k, terms)
 
 
+def _contractions(a: Form, nums: Sequence[tuple], flip: int) -> dict[int, list[tuple[int, tuple]]]:
+    """Per index i, e_i -| a times (-1)^flip as terms (mask, numerators).
+
+    nums are a's coefficients as integer numerators, in the order of
+    a.terms.  e_i -| dx_I = (-1)^pos dx_(I minus i) where i = I[pos].
+    """
+    out: dict[int, list[tuple[int, tuple]]] = {}
+    for key, x in zip(a.terms, nums):
+        mask = _index_mask(key)
+        minus = tuple(-t for t in x)
+        for pos, i in enumerate(key):
+            out.setdefault(i, []).append((mask ^ (1 << i), minus if (pos + flip) & 1 else x))
+    return out
+
+
 def interior_product(v: Vector, a: Form) -> Form:
-    """Contraction v -| a; raises on degree-0 input."""
+    """Contraction v -| a = sum_i v_i (e_i -| a); raises on degree-0 input.
+
+    Each e_i -| a is wedged with the 0-form v_i by the integer kernel.
+    """
     if v.n != a.n:
         raise InputError(f"dimension mismatch: R^{v.n} vs R^{a.n}")
     if a.k == 0:
         raise InputError("interior product of a 0-form is undefined")
-    terms: dict[IndexTuple, Scalar] = {}
-    for key, value in a.terms.items():
-        for pos, idx in enumerate(key):
-            comp = v[idx]
-            if comp.is_zero():
-                continue
-            reduced = key[:pos] + key[pos + 1 :]
-            product, acc = value * comp, terms.get(reduced, ZERO)
-            terms[reduced] = acc - product if pos % 2 else acc + product
-    return Form(a.n, a.k - 1, terms)
+    vnums, vden = common_numerators(v.components)
+    nums, aden = common_numerators(list(a.terms.values()))
+    acc: dict[int, tuple] = {}
+    for i, terms in _contractions(a, nums, 0).items():
+        if any(vnums[i - 1]):
+            _wedge_into(acc, terms, [(0, 0, vnums[i - 1])])
+    return _from_numerators(a.n, a.k - 1, acc, aden * vden)
 
 
 def inner_product(a: Form, b: Form) -> Scalar:
-    """Metric pairing; the monomial basis dx_I is orthonormal."""
+    """Metric pairing; the monomial basis dx_I is orthonormal.
+
+    Sums the products of the shared coefficients' integer numerators, as
+    in ``_wedge_into``, and reduces once.
+    """
     a._check_match(b)
-    total = ZERO
-    for key, value in a.terms.items():
-        other = b.terms.get(key)
-        if other is not None:
-            total = total + value * other
-    return total
+    shared = [key for key in a.terms if key in b.terms]
+    xs, xden = common_numerators([a.terms[key] for key in shared])
+    ys, yden = common_numerators([b.terms[key] for key in shared])
+    a0 = b0 = c0 = d0 = 0
+    for (a1, b1, c1, d1), (a2, b2, c2, d2) in zip(xs, ys):
+        a0 += a1 * a2 + 5 * b1 * b2 + 581 * c1 * c2 + 2905 * d1 * d2
+        b0 += a1 * b2 + b1 * a2 + 581 * (c1 * d2 + d1 * c2)
+        c0 += a1 * c2 + c1 * a2 + 5 * (b1 * d2 + d1 * b2)
+        d0 += a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+    return _canonical(a0, b0, c0, d0, xden * yden)
 
 
 def norm_squared(a: Form) -> Scalar:
@@ -392,6 +420,21 @@ def norm_squared(a: Form) -> Scalar:
 
 def volume_form(n: int) -> Form:
     return Form.monomial(n, tuple(range(1, n + 1)))
+
+
+def _row_forms(m: Matrix) -> tuple[list[list[tuple]], int]:
+    """Row i of m as the 1-form sum_j m_ij dx_j, and the rows' common denominator.
+
+    Each row is the terms (mask, _above(mask), numerators) of its nonzero
+    entries, as ``_wedge_into`` takes its right factor.
+    """
+    n = m.n
+    entries, mden = common_numerators([x for row in m.rows for x in row])
+    rows = [
+        [(1 << j, _above(1 << j), x) for j, x in enumerate(entries[i * n : (i + 1) * n], 1) if any(x)]
+        for i in range(n)
+    ]
+    return rows, mden
 
 
 def pullback(m: Matrix, a: Form) -> Form:
@@ -408,13 +451,7 @@ def pullback(m: Matrix, a: Form) -> Form:
         raise InputError(f"dimension mismatch: R^{m.n} vs R^{a.n}")
     if a.k == 0:
         return a
-    n = a.n
-    entries, mden = common_numerators([x for row in m.rows for x in row])
-    # Row i as the 1-forms (mask, above, numerators) of its nonzero entries.
-    rows = [
-        [(1 << j, _above(1 << j), x) for j, x in enumerate(entries[i * n : (i + 1) * n], 1) if any(x)]
-        for i in range(n)
-    ]
+    rows, mden = _row_forms(m)
     coeffs, aden = common_numerators(list(a.terms.values()))
     last_rows: dict[IndexTuple, dict[int, tuple]] = {}
     for key, c in zip(a.terms, coeffs):
@@ -428,32 +465,25 @@ def pullback(m: Matrix, a: Form) -> Form:
                 _wedge_into(step, minors[prefix[: r - 1]], rows[prefix[r - 1] - 1])
                 minors[prefix[:r]] = [(mask, x) for mask, x in step.items() if any(x)]
         _wedge_into(acc, minors[prefix], [(mask, _above(mask), x) for mask, x in row.items() if any(x)])
-    return _from_numerators(n, a.k, acc, aden * mden**a.k)
+    return _from_numerators(a.n, a.k, acc, aden * mden**a.k)
 
 
 def gl_inf_action(m: Matrix, a: Form) -> Form:
     """Derivative of the pullback action: d/dt|_0 pullback(exp(t m), a).
 
-    Computed exactly as the sum over slot insertions
-    sum_s a(., ..., m ._s, ..., .); linear in m and in a.
+    The derivation extending m from 1-forms: sum_i theta_i ^ (e_i -| a)
+    with theta_i = sum_j m_ij dx_j, the first-order pullback of dx_i.
+    Computed as sum_i (-1)^(k-1) (e_i -| a) ^ theta_i in integer
+    numerators, with pullback's row 1-forms; linear in m and in a.
     """
     if m.n != a.n:
         raise InputError(f"dimension mismatch: R^{m.n} vs R^{a.n}")
-    terms: dict[IndexTuple, Scalar] = {}
-    for key, value in a.terms.items():
-        for pos, idx in enumerate(key):
-            # dx_idx pulls back to sum_j m[idx][j] dx_j at first order.
-            for j in range(1, a.n + 1):
-                coeff = m.entry(idx, j)
-                if coeff.is_zero():
-                    continue
-                candidate = key[:pos] + (j,) + key[pos + 1 :]
-                sorted_key, sign = sort_with_sign(candidate)
-                if sign == 0:
-                    continue
-                product, acc = value * coeff, terms.get(sorted_key, ZERO)
-                terms[sorted_key] = acc + product if sign > 0 else acc - product
-    return Form(a.n, a.k, terms)
+    rows, mden = _row_forms(m)
+    nums, aden = common_numerators(list(a.terms.values()))
+    acc: dict[int, tuple] = {}
+    for i, terms in _contractions(a, nums, a.k - 1).items():
+        _wedge_into(acc, terms, rows[i - 1])
+    return _from_numerators(a.n, a.k, acc, aden * mden)
 
 
 def rho(k: int, b: IntMatrix) -> dict[tuple[int, int], int]:
@@ -496,10 +526,3 @@ def monomial_basis(n: int, k: int) -> list[IndexTuple]:
 
 def form_to_coefficients(a: Form, basis: Sequence[IndexTuple]) -> list[Scalar]:
     return [a.terms.get(key, ZERO) for key in basis]
-
-
-def form_from_coefficients(
-    n: int, k: int, basis: Sequence[IndexTuple], coeffs: Iterable[Scalar | int]
-) -> Form:
-    """The form sum c_I dx_I; basis must be degree-k monomials over R^n (as monomial_basis)."""
-    return Form._from_valid(n, k, dict(zip(basis, map(Scalar.coerce, coeffs))))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InputError, InternalCheckError
 from .forms import Form, hodge_star, wedge
@@ -110,13 +111,20 @@ class CasimirRecord:
     paper_lambda_printed: Scalar | None = None
     consistent_with_paper: bool | None = None
 
-    def to_json(self) -> dict:
+    def chain_json(self) -> dict:
+        """The JSON of the chain: Casimir, mu, mu_squashed and rates."""
         return {
-            "label": [self.label.k1, self.label.k2, self.label.l],
             "casimir": self.casimir.to_json(),
             "mu_scal42": self.mu_scal42.to_json(),
             "mu_squashed": self.mu_squashed.to_json(),
             "lambdas": [r.to_json() for r in self.lambdas],
+        }
+
+    def to_json(self, chain: dict | None = None) -> dict:
+        """The record's JSON; chain, if given, is chain_json() of a record with this Casimir."""
+        return {
+            "label": [self.label.k1, self.label.k2, self.label.l],
+            **(self.chain_json() if chain is None else chain),
             "paper_listed": self.paper_listed,
             "paper_printed": {
                 key: value.to_json()
@@ -216,6 +224,22 @@ def enumerate_candidates(
         k1 += 1
     chains_by_n: dict[int, _Chains] = {}  # many labels share one Casimir
     return [_record(IrrepLabel(k1, k2, l), chains_by_n) for _, k1, k2, l in sorted(found)]
+
+
+def records_json(records: Iterable[CasimirRecord]) -> list[dict]:
+    """[r.to_json() for r in records], building each chain's JSON once per Casimir.
+
+    The chain is a function of the Casimir, and enumerate_candidates lists
+    the labels of one Casimir together, with one Casimir object, so one
+    chain_json() serves a run of equal Casimirs.
+    """
+    out: list[dict] = []
+    casimir, chain = None, {}
+    for record in records:
+        if record.casimir is not casimir and record.casimir != casimir:
+            casimir, chain = record.casimir, record.chain_json()
+        out.append(record.to_json(chain))
+    return out
 
 
 def rescale_torsion_constant(c_scal42: Scalar | int | Fraction) -> Scalar:

@@ -27,10 +27,12 @@ Every numerator is certified exact: symmetric, idempotent, with trace
 summing to the identity per degree.  The numerators are 3-14% nonzero, and
 the certificate's 16 products (and A^T A, C C^T, A A^T) run on them as
 row-sparse integer products: ``ratmat.mat_mul`` touches only nonzero
-entries.  ``apply`` does the same with each numerator's rows kept
-row-sparse in the table.  No ``Fraction`` is built on the way:
-``projectors --export`` formats each entry from its numerator and D, and
-the Pi/Theta float tables divide N by D in binary64.
+entries.  ``apply`` and ``decompose`` do the same with each numerator's
+rows kept row-sparse in the table, on the input's integer numerators
+(``scalars.int_row_sums``), and ``decompose`` checks that the components
+sum to the input on those integer columns.  No ``Fraction`` is built on
+the way: ``projectors --export`` formats each entry from its numerator and
+D, and the Pi/Theta float tables divide N by D in binary64.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .forms import (
     Form,
     IndexTuple,
     Vector,
-    form_from_coefficients,
     form_to_coefficients,
     hodge_star,
     inner_product,
@@ -56,7 +57,7 @@ from .forms import (
     rho,
 )
 from .ratmat import IntMatrix, SparseRows
-from .scalars import Scalar, int_matvec
+from .scalars import Scalar, _canonical, common_numerators, int_row_sums
 
 TypeLabel = tuple[int, int]  # (degree, dimension), e.g. (4, 35)
 
@@ -85,14 +86,20 @@ PSI0_TERMS: tuple[tuple[IndexTuple, int], ...] = (
 )
 
 
+# psi0 and e_1 -| psi0, built once; psi0() and g2_phi_eight() hand out
+# copies, as a Form's terms dict can be changed in place.
+_PSI0 = Form(8, 4, {key: Scalar.coerce(sign) for key, sign in PSI0_TERMS})
+_PHI8 = interior_product(Vector.basis(8, 1), _PSI0)
+
+
 def psi0() -> Form:
     """The model Spin(7) 4-form psi_0 on R^8."""
-    return Form(8, 4, {key: Scalar(sign) for key, sign in PSI0_TERMS})
+    return Form._from_valid(8, 4, _PSI0.terms)
 
 
 def g2_phi_eight() -> Form:
     """e_1 -| psi0: the G2 3-form of the slice model, supported on dx_2..dx_8."""
-    return interior_product(Vector.basis(8, 1), psi0())
+    return Form._from_valid(8, 3, _PHI8.terms)
 
 
 def reindex_to_seven(a: Form) -> Form:
@@ -195,10 +202,21 @@ class ProjectorTable:
     def apply(self, degree: int, dim: int, a: Form) -> Form:
         if a.n != 8 or a.k != degree:
             raise InputError(f"expected a {degree}-form over R^8")
-        basis = monomial_basis(8, degree)
-        vec = form_to_coefficients(a, basis)
-        out = int_matvec(self.rows[self._label(degree, dim)], vec, DENOMINATORS[degree])
-        return form_from_coefficients(8, degree, basis, out)
+        nums, common = common_numerators(form_to_coefficients(a, monomial_basis(8, degree)))
+        parts = int_row_sums(self.rows[self._label(degree, dim)], nums)
+        return _numerator_form(degree, parts, common * DENOMINATORS[degree])
+
+
+def _numerator_form(degree: int, parts: list[list[int]], den: int) -> Form:
+    """The degree-form over R^8 with coefficient vector parts / den, one list per surd.
+
+    One gcd per nonzero coefficient, over monomial_basis(8, degree).
+    """
+    terms = {}
+    for key, a, b, c, d in zip(monomial_basis(8, degree), *parts):
+        if a or b or c or d:
+            terms[key] = _canonical(a, b, c, d, den)
+    return Form._from_valid(8, degree, terms)
 
 
 def _integer_vector(a: Form, basis: list[IndexTuple]) -> list[int]:
@@ -314,18 +332,25 @@ class Decomposition:
 
 
 def decompose(a: Form) -> Decomposition:
-    """Split a form into its irreducible Spin(7)-type components."""
+    """Split a form into its irreducible Spin(7)-type components.
+
+    One pass to integer numerators v over a common denominator, then per
+    type the integer columns N_a v (``int_row_sums``, as ``apply``).  The
+    components sum to the input iff sum_a N_a v = D v for every surd part,
+    checked on those columns before any is reduced.
+    """
     if a.n != 8 or a.k not in VALID_LABELS:
         raise InputError("decompose expects a 2-, 3- or 4-form over R^8")
     table = build_projectors()
-    components = {
-        (a.k, dim): table.apply(a.k, dim, a) for dim in VALID_LABELS[a.k]
-    }
-    total = Form.zero(8, a.k)
-    for comp in components.values():
-        total = total + comp
-    if total != a:
-        raise InternalCheckError("type components do not sum to the input")
+    basis = monomial_basis(8, a.k)
+    nums, common = common_numerators(form_to_coefficients(a, basis))
+    denom = DENOMINATORS[a.k]
+    columns = {dim: int_row_sums(table.rows[(a.k, dim)], nums) for dim in VALID_LABELS[a.k]}
+    for surd, part in enumerate(zip(*nums)):
+        total = [sum(xs) for xs in zip(*(parts[surd] for parts in columns.values()))]
+        if total != [denom * x for x in part]:
+            raise InternalCheckError("type components do not sum to the input")
+    components = {(a.k, dim): _numerator_form(a.k, parts, common * denom) for dim, parts in columns.items()}
     return Decomposition(input=a, components=components)
 
 
@@ -344,6 +369,9 @@ def star7_slice(a: Form) -> Form:
     return Form(8, 7 - a.k, terms)
 
 
+_STAR7_PHI = star7_slice(_PHI8)
+
+
 def seven_factor_check(x: Vector) -> Scalar:
     """The 4/7 proportionality of the type-8 projection in the slice model.
 
@@ -358,11 +386,10 @@ def seven_factor_check(x: Vector) -> Scalar:
         raise InputError("X is not tangent to the link (radial component present)")
     if x.is_zero():
         raise InputError("X must be nonzero")
-    phi = g2_phi_eight()
-    alpha7 = interior_product(x, star7_slice(phi))
+    alpha7 = interior_product(x, _STAR7_PHI)
     table = build_projectors()
     projected = table.apply(3, 8, alpha7)
-    reference = interior_product(x, psi0())
+    reference = interior_product(x, _PSI0)
     denom = norm_squared(reference)
     c = inner_product(projected, reference) / denom
     if projected != reference.scale(c):

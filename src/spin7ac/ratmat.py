@@ -4,7 +4,7 @@ Matrices are dense lists of lists of ``int``.  The helpers use only
 ``+``, ``-``, ``*`` and ``==`` on the entries, so they apply unchanged to
 ``Fraction`` matrices too.  ``mat_mul`` skips zero entries: it keeps each
 row of the right factor as its nonzero (column, value) pairs
-(``sparse_rows``, the form ``scalars.int_matvec`` takes too) and adds
+(``sparse_rows``, the form ``scalars.int_row_sums`` takes too) and adds
 a[i][k] * b[k][j] into row i only for nonzero a[i][k], so its cost follows
 the nonzeros, not the shape (the projector numerators are 3-14% nonzero).
 The projector table is built and certified on integer numerators with

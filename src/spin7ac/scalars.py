@@ -377,22 +377,18 @@ def common_numerators(xs: Sequence[Scalar]) -> tuple[list[tuple[int, int, int, i
     return out, common
 
 
-def int_matvec(rows: list[list[tuple[int, int]]], vec: list[Scalar], denom: int) -> list[Scalar]:
-    """rows @ vec / denom for a row-sparse integer matrix and a vector of Scalars.
+def int_row_sums(rows: list[list[tuple[int, int]]], nums: Sequence[tuple[int, int, int, int]]) -> list[list[int]]:
+    """Per surd part, rows @ (that part of nums): four integer columns.
 
-    Each row is its nonzero (column, value) pairs (``ratmat.sparse_rows``).
-    The vector goes to integer numerators over one common denominator, then
-    per surd one integer row sum over the nonzero entries, and one gcd per
-    output entry.
+    Each row is its nonzero (column, value) pairs (``ratmat.sparse_rows``)
+    and nums the numerators (a, b, c, d) of a vector; a part that is zero
+    throughout gives a zero column without a pass over the rows.
     """
-    nums, common = common_numerators(vec)
     parts = []
-    for surd in range(4):
-        part = [x[surd] for x in nums]
+    for part in zip(*nums):
         live = any(part)
         parts.append([sum([v * part[j] for j, v in row]) if live else 0 for row in rows])
-    scale = common * denom
-    return [_canonical(a, b, c, d, scale) for a, b, c, d in zip(*parts)]
+    return parts
 
 
 def sqrt_rational(q: Fraction) -> Scalar | None:

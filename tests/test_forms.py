@@ -307,6 +307,106 @@ def test_wedge_and_pullback_reduce_once_per_output_coefficient(canonical_calls):
             assert canonical_calls[0] - before <= math.comb(n, k)
 
 
+def surd_vectors(rng: random.Random, n: int) -> list[Vector]:
+    """Dense, sparse rational and zero vectors in R^n."""
+    dense = Vector([surd_scalar(rng) for _ in range(n)])
+    sparse = Vector([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4 else 0 for _ in range(n)])
+    return [dense, sparse, Vector([0] * n)]
+
+
+def test_contractions_and_inner_product_match_scalar_reference():
+    rng = random.Random(45)
+    for n in (7, 8):
+        matrices = surd_matrices(rng, n) + [Matrix([[0] * n for _ in range(n)])]
+        vectors = surd_vectors(rng, n)
+        for k in range(n + 1):
+            dense = Form(n, k, {key: surd_scalar(rng) for key in monomial_basis(n, k)})
+            for a in (surd_form(rng, n, k, 4), dense):
+                for m in matrices:
+                    out = gl_inf_action(m, a)
+                    assert out == formref.gl_inf_action(m, a)
+                    assert holds_no_zero(out)
+                for v in vectors if k else ():
+                    out = interior_product(v, a)
+                    assert out == formref.interior_product(v, a)
+                    assert holds_no_zero(out)
+                b = surd_form(rng, n, k, len(dense.terms) // 2 + 1)
+                assert inner_product(a, b) == formref.inner_product(a, b)
+                assert inner_product(a, a) == formref.inner_product(a, a)
+
+
+def test_contractions_and_inner_product_cancel_to_zero(table):
+    rng = random.Random(46)
+    s, t = surd_scalar(rng), surd_scalar(rng)
+    for n in (7, 8):
+        # (t e_1 - s e_2) -| (s dx_13 + t dx_23) = (ts - st) dx_3, and <a, b> = st - ts
+        a = Form(n, 2, {(1, 3): s, (2, 3): t})
+        v = Vector([t, -s] + [0] * (n - 2))
+        assert interior_product(v, a).terms == {}
+        b = Form(n, 2, {(1, 3): t, (2, 3): -s})
+        assert inner_product(a, b).to_json() == {} and inner_product(a, b) == Scalar(0)
+        # m = s (E_11 - E_22) sends dx_1 ^ dx_2 to (s - s) dx_1 ^ dx_2
+        m = Matrix.from_entries(n, {(1, 1): s, (2, 2): -s})
+        assert gl_inf_action(m, Form.monomial(n, (1, 2), t)).terms == {}
+    # the stabiliser algebra Lambda^2_21 of psi0, scaled by a surd
+    for rows in table.lambda2_21_matrices[:5]:
+        m = Matrix([[x * s for x in row] for row in rows])
+        assert gl_inf_action(m, psi0().scale(t)).terms == {}
+
+
+def test_contractions_and_inner_product_reduce_once(canonical_calls):
+    rng = random.Random(47)
+    for n in (7, 8):
+        m = Matrix([[surd_scalar(rng) for _ in range(n)] for _ in range(n)])
+        v = Vector([surd_scalar(rng) for _ in range(n)])
+        for k in range(n + 1):
+            a = Form(n, k, {key: surd_scalar(rng) for key in monomial_basis(n, k)})
+            b = Form(n, k, {key: surd_scalar(rng) for key in monomial_basis(n, k)})
+            before = canonical_calls[0]
+            gl_inf_action(m, a)
+            assert canonical_calls[0] - before <= math.comb(n, k)
+            if k:
+                before = canonical_calls[0]
+                interior_product(v, a)
+                assert canonical_calls[0] - before <= math.comb(n, k - 1)
+            before = canonical_calls[0]
+            inner_product(a, b)
+            assert canonical_calls[0] - before == 1
+
+
+def t_coefficient_weights(ts: list[Fraction]) -> list[Fraction]:
+    """w_i with p'(0) = sum_i w_i p(t_i) for every polynomial p of degree < len(ts).
+
+    w_i is the t-coefficient of the Lagrange basis polynomial of t_i.
+    """
+    weights = []
+    for i, ti in enumerate(ts):
+        poly, scale = [Fraction(1)], Fraction(1)  # coefficients, lowest degree first
+        for j, tj in enumerate(ts):
+            if j != i:  # poly *= t - tj
+                poly = [x - tj * y for x, y in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+                scale *= ti - tj
+        weights.append(poly[1] / scale if len(poly) > 1 else Fraction(0))
+    return weights
+
+
+def test_gl_inf_action_is_the_t_coefficient_of_pullback():
+    # pullback(I + t m, a) is a polynomial of degree <= k in t; its
+    # t-coefficient, found exactly by Lagrange interpolation at k + 1
+    # rational t, is the infinitesimal action.
+    rng = random.Random(48)
+    for n in (7, 8):
+        for m in surd_matrices(rng, n)[:2]:
+            for k in range(n + 1):
+                a = surd_form(rng, n, k, 3)
+                ts = [Fraction(j + 1, 3) for j in range(k + 1)]
+                derivative = Form.zero(n, k)
+                for t, w in zip(ts, t_coefficient_weights(ts)):
+                    shifted = Matrix([[int(i == j) + x * t for j, x in enumerate(row)] for i, row in enumerate(m.rows)])
+                    derivative = derivative + pullback(shifted, a).scale(w)
+                assert gl_inf_action(m, a) == derivative
+
+
 def rand_q5_form(rng: random.Random, k: int, terms: int = 5) -> Form:
     """Random k-form on R^8 with coefficients in Q(sqrt5)."""
     basis = monomial_basis(8, k)

@@ -19,6 +19,7 @@ from spin7ac.homrep import (
     LAMBDA_BAR_PAPER,
     MAX_WINDOW_DEPTH,
     PHI_FRAME,
+    CasimirRecord,
     HomData,
     IrrepLabel,
     bryant_salamon_link_data,
@@ -28,6 +29,7 @@ from spin7ac.homrep import (
     hom_obstruction_coefficient,
     is_type27,
     lambda_bar_of_rate,
+    records_json,
     rescale_torsion_constant,
     trivial_hom_data,
     type27_residuals,
@@ -149,6 +151,22 @@ def test_deepest_window_is_byte_identical_to_pin():
     records = [r.to_json() for r in enumerate_candidates(-MAX_WINDOW_DEPTH)]
     assert len(records) == 23451
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == _DEEPEST_WINDOW_SHA256
+
+
+def test_records_json_builds_each_chain_once_per_casimir(monkeypatch):
+    records = enumerate_candidates(-MAX_WINDOW_DEPTH)
+    calls = [0]
+    original = CasimirRecord.chain_json
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(CasimirRecord, "chain_json", counting)
+    out = records_json(records)
+    assert calls[0] == len({r.casimir for r in records})
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == _DEEPEST_WINDOW_SHA256
 
 

@@ -14,7 +14,6 @@ from spin7ac.forms import (
     Form,
     Matrix,
     Vector,
-    form_from_coefficients,
     form_to_coefficients,
     gl_inf_action,
     hodge_star,
@@ -238,7 +237,7 @@ def test_lambda4_7_dimension_and_orthogonality(table):
     psi = psi0()
     basis4 = monomial_basis(8, 4)
     for column in ratmat.transpose(p):
-        v = form_from_coefficients(8, 4, basis4, column)
+        v = Form(8, 4, dict(zip(basis4, column)))
         assert inner_product(v, psi).is_zero()
         # self-dual: orthogonal to every anti-self-dual form
         assert hodge_star(v) == v
@@ -265,7 +264,7 @@ def test_apply_matches_fraction_loop(table):
             expected = [
                 sum((v * x for x, v in zip(row, vec)), ZERO) for row in table.projector(degree, dim)
             ]
-            assert table.apply(degree, dim, a) == form_from_coefficients(8, degree, basis, expected)
+            assert table.apply(degree, dim, a) == Form(8, degree, dict(zip(basis, expected)))
 
 
 def test_table_rows_are_the_numerators_nonzero_entries(table):
@@ -299,6 +298,41 @@ def test_decompose_refuses_a_corrupted_numerator(table, monkeypatch):
     monkeypatch.setattr(projectors, "build_projectors", lambda: copy)
     with pytest.raises(InternalCheckError, match="^type components do not sum to the input$"):
         decompose(a)
+
+
+def test_decompose_reduces_once_per_basis_element_per_component(table, canonical_calls):
+    # the sum check runs on integer columns: no reduction beyond the components'
+    rng = random.Random(24)
+    for degree, dims in VALID_LABELS.items():
+        basis = monomial_basis(8, degree)
+        a = Form(8, degree, {key: Scalar(*(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)))
+                             for key in basis})
+        before = canonical_calls[0]
+        decompose(a)
+        assert canonical_calls[0] - before <= len(basis) * len(dims)
+
+
+def test_seven_factor_check_refuses_a_projection_off_the_multiple(table, monkeypatch):
+    x = Vector.basis(8, 2)
+    alpha7 = interior_product(x, star7_slice(g2_phi_eight()))
+    col = monomial_basis(8, 3).index(min(alpha7.terms))
+
+    def edit(n):
+        n[0][col] += 7  # row 0 is dx_123, absent from x -| psi0
+
+    copy = ProjectorTable(_broken_copy(table, (3, 8), edit), table.lambda2_21_matrices, table.lambda2_7_matrices)
+    monkeypatch.setattr(projectors, "build_projectors", lambda: copy)
+    with pytest.raises(InternalCheckError, match=r"^type-8 projection is not a multiple of X -\| psi0$"):
+        seven_factor_check(x)
+
+
+def test_model_forms_are_fresh_copies(table):
+    psi, phi = psi0(), g2_phi_eight()
+    psi.terms.clear()
+    phi.terms[(2, 3, 4)] = Scalar(5)
+    assert seven_factor_check(Vector.basis(8, 3)) == Scalar(Fraction(4, 7))
+    assert decompose(psi0()).nonzero_labels() == [(4, 1)]
+    assert g2_phi_eight() == interior_product(Vector.basis(8, 1), psi0())
 
 
 def test_lambda3_8_injectivity(table):

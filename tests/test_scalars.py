@@ -11,7 +11,7 @@ import pytest
 
 from spin7ac.errors import InputError
 from spin7ac.ratmat import sparse_rows
-from spin7ac.scalars import ZERO, SQRT5, SQRT581, SQRT2905, Scalar, int_matvec, sqrt_rational
+from spin7ac.scalars import ZERO, SQRT5, SQRT581, SQRT2905, Scalar, common_numerators, int_row_sums, sqrt_rational
 
 
 def random_scalar(rng: random.Random, span: int = 12) -> Scalar:
@@ -150,8 +150,15 @@ def test_float_conversion():
     assert float(x) == pytest.approx((math.sqrt(5) - math.sqrt(581)) / 5)
 
 
-def test_int_matvec_matches_scalar_sum():
+def test_int_row_sums_matches_scalar_sum():
     rng = random.Random(11)
+
+    def matvec(rows, vec, denom):
+        # rows @ vec / denom through the integer columns, one Scalar per entry
+        nums, common = common_numerators(vec)
+        parts = int_row_sums(sparse_rows(rows), nums)
+        return [Scalar(*(Fraction(x, common * denom) for x in entry)) for entry in zip(*parts)]
+
     for trial in range(40):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         matrix = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
@@ -163,8 +170,8 @@ def test_int_matvec_matches_scalar_sum():
             vec.append(Scalar(*(part if keep else 0 for part, keep in zip((x.a, x.b, x.c, x.d), live))))
         denom = rng.randint(1, 250)
         expected = [sum((v * m for m, v in zip(row, vec)), ZERO) / denom for row in matrix]
-        assert int_matvec(sparse_rows(matrix), vec, denom) == expected
-    assert int_matvec(sparse_rows([[1, 2]]), [ZERO, ZERO], 7) == [ZERO]
+        assert matvec(matrix, vec, denom) == expected
+    assert matvec([[1, 2]], [ZERO, ZERO], 7) == [ZERO]
 
 
 def fields(x: Scalar) -> tuple[int, int, int, int, int]:
