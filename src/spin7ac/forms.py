@@ -3,9 +3,14 @@
 Forms are sparse maps from strictly increasing index tuples (1-based) to
 Scalar coefficients.  The metric is the standard Euclidean one, the
 monomial basis dx_I is orthonormal, and the orientation is
-dx_1 ^ ... ^ dx_n positive.  Permutation signs are computed by counting
-inversions, so a degree-overflow wedge raises instead of silently
-returning zero.
+dx_1 ^ ... ^ dx_n positive.  A degree-overflow wedge raises instead of
+silently returning zero.
+
+Every permutation sign has one rule: kernels key monomials by bitmask
+(bit i for dx_i), and sorting dx_L ^ dx_R has sign
+(-1)^popcount(mask(L) & _above(mask(R))).  ``hodge_star`` and the slice
+star take R = full minus L; ``rho``'s substitution of j for i counts the
+indices strictly between them.
 
 ``wedge``, ``pullback``, ``gl_inf_action``, ``interior_product`` and
 ``inner_product`` sum integer numerators (a, b, c, d) over one
@@ -38,38 +43,6 @@ def _validate_index_tuple(indices: Sequence[int], n: int) -> IndexTuple:
     return t
 
 
-def sort_with_sign(indices: Sequence[int]) -> tuple[IndexTuple, int]:
-    """Sort indices, returning (sorted tuple, permutation sign); 0 on repeats."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(len(idx) - 1):
-        if idx[i] == idx[i + 1]:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
-def merge_sign(left: IndexTuple, right: IndexTuple) -> int:
-    """Sign of sorting the concatenation of two increasing tuples; 0 on overlap."""
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return 0
-        if left[i] < right[j]:
-            i += 1
-        else:
-            # right[j] must jump over the remaining len(left) - i entries
-            sign *= -1 if (len(left) - i) % 2 else 1
-            j += 1
-    return sign
-
-
 def _index_mask(indices: IndexTuple) -> int:
     """Bitmask of an index tuple: two monomials overlap iff their masks do."""
     mask = 0
@@ -81,8 +54,8 @@ def _index_mask(indices: IndexTuple) -> int:
 def _above(mask: int) -> int:
     """XOR over the indices r in mask of the mask of all indices above r.
 
-    Each index r of right passes the indices of left above r, so
-    merge_sign(left, right) = (-1)^popcount(mask(left) & _above(mask(right))).
+    Sorting dx_L ^ dx_R moves each index r of R past the indices of L above
+    r, so its sign is (-1)^popcount(mask(L) & _above(mask(R))).
     """
     out = 0
     while mask:
@@ -93,7 +66,7 @@ def _above(mask: int) -> int:
 
 
 def _wedge_into(acc: dict[int, tuple], lefts: Iterable[tuple], rights: Sequence[tuple]) -> None:
-    """acc[l | r] += merge_sign * x * y over the disjoint monomial pairs, in integers.
+    """acc[l | r] += sign * x * y over the disjoint monomial pairs, in integers.
 
     Monomials are bitmasks, coefficients numerators (a, b, c, d); lefts are
     (mask, numerators) and rights (mask, _above(mask), numerators).  The
@@ -354,12 +327,22 @@ def hodge_star(a: Form) -> Form:
 
     Satisfies b ^ *a = <a,b> vol and *^2 = (-1)^(k(n-k)) on degree k.
     """
-    full = tuple(range(1, a.n + 1))
+    return Form._from_valid(a.n, a.n - a.k, _complement_terms(a, tuple(range(1, a.n + 1))))
+
+
+def _complement_terms(a: Form, full: IndexTuple) -> dict[IndexTuple, Scalar]:
+    """The terms of a with each dx_I mapped to sign * dx_(full minus I).
+
+    sign is that of sorting dx_I ^ dx_(full minus I); every key of a lies in full.
+    """
+    full_mask = _index_mask(full)
     terms: dict[IndexTuple, Scalar] = {}
     for key, value in a.terms.items():
-        complement = tuple(i for i in full if i not in key)
-        terms[complement] = value if merge_sign(key, complement) > 0 else -value
-    return Form._from_valid(a.n, a.n - a.k, terms)
+        mask = _index_mask(key)
+        rest = full_mask ^ mask
+        complement = tuple(i for i in full if rest >> i & 1)
+        terms[complement] = -value if (mask & _above(rest)).bit_count() & 1 else value
+    return terms
 
 
 def _contractions(a: Form, nums: Sequence[tuple], flip: int) -> dict[int, list[tuple[int, tuple]]]:
@@ -492,7 +475,8 @@ def rho(k: int, b: IntMatrix) -> dict[tuple[int, int], int]:
     b is an 8x8 list of ``int`` rows.  Maps (row, column) positions in
     monomial_basis(8, k) to the nonzero entries.  For b = E_ij it is a
     signed index substitution: dx_I with i in I goes to sign * dx_J, J = I
-    with i replaced by j.
+    with i replaced by j, and sign is (-1)^(the indices of I strictly
+    between i and j).
     """
     if len(b) != 8 or any(len(row) != 8 for row in b):
         raise InputError("rho is defined for 8x8 matrices")
@@ -502,17 +486,20 @@ def rho(k: int, b: IntMatrix) -> dict[tuple[int, int], int]:
             if type(x) is not int:
                 raise InputError(f"rho needs an integer matrix, not entry {x}")
             if x:
-                row_entries.setdefault(i, []).append((j, x))
+                row_entries.setdefault(i, []).append((1 << j, x))
     basis = monomial_basis(8, k)
-    index = {key: i for i, key in enumerate(basis)}
+    masks = list(map(_index_mask, basis))
+    index = {mask: row for row, mask in enumerate(masks)}
     out: dict[tuple[int, int], int] = {}
-    for col, key in enumerate(basis):
-        for pos, i in enumerate(key):
-            for j, value in row_entries.get(i, ()):
-                sorted_key, sign = sort_with_sign(key[:pos] + (j,) + key[pos + 1 :])
-                if sign:
-                    cell = (index[sorted_key], col)
-                    out[cell] = out.get(cell, 0) + sign * value
+    for col, (key, mask) in enumerate(zip(basis, masks)):
+        for i in key:
+            rest = mask ^ (1 << i)
+            for jbit, value in row_entries.get(i, ()):
+                if rest & jbit:
+                    continue
+                cell = (index[rest | jbit], col)
+                between = rest & (((1 << i) - 1) ^ (jbit - 1))
+                out[cell] = out.get(cell, 0) + (-value if between.bit_count() & 1 else value)
     return {cell: value for cell, value in out.items() if value}
 
 

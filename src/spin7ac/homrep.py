@@ -134,7 +134,7 @@ class CasimirRecord:
                     ("lambda_printed", self.paper_lambda_printed),
                 )
                 if value is not None
-            },
+            } if self.paper_listed else {},
             "consistent_with_paper": self.consistent_with_paper,
         }
 

@@ -47,11 +47,11 @@ from .forms import (
     Form,
     IndexTuple,
     Vector,
+    _complement_terms,
     form_to_coefficients,
     hodge_star,
     inner_product,
     interior_product,
-    merge_sign,
     monomial_basis,
     norm_squared,
     rho,
@@ -359,14 +359,9 @@ def star7_slice(a: Form) -> Form:
 
     Orientation dx_2 ^ ... ^ dx_8 positive, matching vol_8 = dx_1 ^ vol_7.
     """
-    full = tuple(range(2, 9))
-    terms = {}
-    for key, value in a.terms.items():
-        if 1 in key:
-            raise InputError("slice star applied to a form touching dx_1")
-        complement = tuple(i for i in full if i not in key)
-        terms[complement] = value * merge_sign(key, complement)
-    return Form(8, 7 - a.k, terms)
+    if any(1 in key for key in a.terms):
+        raise InputError("slice star applied to a form touching dx_1")
+    return Form(8, 7 - a.k, _complement_terms(a, tuple(range(2, 9))))
 
 
 _STAR7_PHI = star7_slice(_PHI8)

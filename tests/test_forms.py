@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import formref
 import numpy as np
@@ -30,7 +30,7 @@ from spin7ac.forms import (
     volume_form,
     wedge,
 )
-from spin7ac.projectors import psi0
+from spin7ac.projectors import psi0, sym0_matrix_basis
 from spin7ac.scalars import Scalar
 
 
@@ -525,8 +525,11 @@ def test_rho_sums_to_gl_inf_action_random():
             for ij, sparse in rhos.items():
                 for (row, col), value in sparse.items():
                     image[row] += m[ij] * value * coeffs[col]
-            expected = gl_inf_action(Matrix.from_entries(8, m), a)
-            assert [Scalar(x) for x in image] == form_to_coefficients(expected, basis)
+            exact = Matrix.from_entries(8, m)
+            image = [Scalar(x) for x in image]
+            assert image == form_to_coefficients(gl_inf_action(exact, a), basis)
+            # and against the slot-insertion reference, which shares no sign code
+            assert image == form_to_coefficients(formref.gl_inf_action(exact, a), basis)
 
 
 def test_rho_is_a_signed_substitution_and_refuses_fractions():
@@ -536,10 +539,63 @@ def test_rho_is_a_signed_substitution_and_refuses_fractions():
         action = rho(4, unit)
         assert len(action) == (35 if i == j else 20)
         assert set(action.values()) <= {1, -1}
-    half = ratmat.zeros(8, 8)
-    half[0][1] = Fraction(1, 2)
-    with pytest.raises(InputError):
-        rho(4, half)
+    for bad in (Fraction(1, 2), True, 0.5):
+        entry = ratmat.zeros(8, 8)
+        entry[0][1] = bad
+        with pytest.raises(InputError, match="rho needs an integer matrix"):
+            rho(4, entry)
+
+
+def test_rho_matches_sort_with_sign_reference(table):
+    units = [[[int((r, c) == (i, j)) for c in range(8)] for r in range(8)] for i in range(8) for j in range(8)]
+    w = [ratmat.identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
+    assert len(w) == 43 and len(table.lambda2_21_matrices) == 21
+    # A diagonal in {-1, 0, 1}: the cell (I, I) sums b_ii over i in I and often cancels.
+    rng = random.Random(48)
+    cancelling = [
+        [[rng.randint(-1, 1) if r == c else rng.randint(-3, 3) for c in range(8)] for r in range(8)]
+        for _ in range(4)
+    ]
+    dropped = 0
+    for k in range(9):
+        basis = monomial_basis(8, k)
+        for b in units + w + table.lambda2_21_matrices + cancelling:
+            out = rho(k, b)
+            assert out == formref.rho(k, b)
+            assert 0 not in out.values()
+        for b in cancelling:
+            out = rho(k, b)
+            for col, key in enumerate(basis):
+                diagonal = [b[i - 1][i - 1] for i in key]
+                if any(diagonal) and not sum(diagonal):
+                    assert (col, col) not in out
+                    dropped += 1
+    assert dropped
+
+
+def test_reference_sign_helpers_match_inversion_count():
+    # formref's sign helpers are the reference for the bitmask rule, so they
+    # are checked against explicit pair counting; a repeated index gives 0.
+    for length in range(6):
+        for seq in product(range(1, 9), repeat=length):
+            assert formref.sort_with_sign(seq) == (tuple(sorted(seq)), brute_sign(seq))
+    increasing = [key for k in range(9) for key in combinations(range(1, 9), k)]
+    for left in increasing:
+        for right in increasing:
+            assert formref.merge_sign(left, right) == brute_sign(left + right)
+
+
+def test_hodge_star_matches_merge_sign_reference():
+    rng = random.Random(47)
+    surd = Scalar(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 6))
+    for n in (7, 8):
+        for k in range(n + 1):
+            for key in monomial_basis(n, k):
+                for coeff in (Scalar(1), surd):
+                    a = Form.monomial(n, key, coeff)
+                    assert hodge_star(a) == formref.hodge_star(a)
+            dense = Form(n, k, {key: surd_scalar(rng) for key in monomial_basis(n, k)})
+            assert hodge_star(dense) == formref.hodge_star(dense)
 
 
 def test_gl_inf_action_matches_finite_differences():

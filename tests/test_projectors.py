@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
+import formref
 import pytest
 import ratref
 
@@ -356,6 +358,19 @@ def test_slice_model_identity():
 def test_star7_slice_squares_to_identity():
     phi = g2_phi_eight()
     assert star7_slice(star7_slice(phi)) == phi
+
+
+def test_star7_slice_matches_merge_sign_reference():
+    surd = Scalar(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 6))
+    for k in range(8):
+        for key in combinations(range(2, 9), k):
+            for coeff in (Scalar(1), surd):
+                a = Form.monomial(8, key, coeff)
+                assert star7_slice(a) == formref.star7_slice(a)
+    touching = Form(8, 3, {(2, 3, 4): surd, (1, 5, 6): Scalar(1)})
+    for star in (star7_slice, formref.star7_slice):
+        with pytest.raises(InputError, match="touching dx_1"):
+            star(touching)
 
 
 def test_seven_factor_examples(table):
