@@ -44,7 +44,7 @@ from .moduli import (
     moduli_dimension,
     scaling_contribution,
 )
-from .scalars import _INT_BOUND, SQRT5, SQRT581, SQRT2905, ZERO, Scalar
+from .scalars import _INT_BOUND, SQRT5, SQRT581, SQRT2905, ZERO, Scalar, _canonical
 
 # kappa rescales the squashed metric between scalar curvature 42 and the
 # naturally reductive normalization: tau_0 = 12/sqrt(5) and tau_0 = 4/kappa
@@ -77,7 +77,7 @@ def _scaled_casimir(k1: int, k2: int, l: int) -> int:
 
 def casimir(label: IrrepLabel) -> Scalar:
     """Casimir eigenvalue of V(k1,k2) (x) V(l) w.r.t. minus the Killing form."""
-    return Scalar(Fraction(-_scaled_casimir(label.k1, label.k2, label.l), 24))
+    return _canonical(-_scaled_casimir(label.k1, label.k2, label.l), 0, 0, 0, 24)
 
 
 # Eigenvalue pairs exactly as printed in the source computation; compared
@@ -97,22 +97,27 @@ _PAPER_PRINTED: dict[tuple[int, int, int], dict[str, Scalar]] = {
 
 
 @dataclass(frozen=True)
-class CasimirRecord:
-    """One candidate representation with both eigenvalue chains."""
+class CasimirChain:
+    """The eigenvalue chain of one Casimir, shared by every label of that Casimir."""
 
-    label: IrrepLabel
     casimir: Scalar
     mu_scal42: Scalar  # formula chain: mu = -(40/3) Cas
     mu_squashed: Scalar  # kappa^{-2} mu = (9/5) mu
     lambdas: tuple[Rate, ...]  # in-range roots of the formula mu
-    paper_listed: bool
-    paper_mu: Scalar | None = None
-    paper_mu_squashed: Scalar | None = None
-    paper_lambda_printed: Scalar | None = None
-    consistent_with_paper: bool | None = None
 
-    def chain_json(self) -> dict:
-        """The JSON of the chain: Casimir, mu, mu_squashed and rates."""
+    @classmethod
+    def of(cls, n: int) -> CasimirChain:
+        """The chain of N = -24 Cas: Cas = -N/24, mu = 5N/9, mu_squashed = N.
+
+        mu = 5N/9 gives the roots lambda = (-11 +- sqrt(5N + 1))/3; the minus
+        root is <= -4 for every N >= 0, and the plus root is < 0 iff
+        5N + 1 < 121, so only N < 24 (Cas in (-1, 0]) has rates in (-4, 0).
+        """
+        mu = _canonical(5 * n, 0, 0, 0, 9)
+        lambdas = tuple(lambda_of_mu(mu)) if n < 24 else ()
+        return cls(_canonical(-n, 0, 0, 0, 24), mu, _canonical(n, 0, 0, 0, 1), lambdas)
+
+    def to_json(self) -> dict:
         return {
             "casimir": self.casimir.to_json(),
             "mu_scal42": self.mu_scal42.to_json(),
@@ -120,69 +125,55 @@ class CasimirRecord:
             "lambdas": [r.to_json() for r in self.lambdas],
         }
 
+
+@dataclass(frozen=True)
+class CasimirRecord:
+    """One candidate representation: its label and the chain of its Casimir.
+
+    The values printed at the source for the label, if it is listed there,
+    are read from _PAPER_PRINTED and never reconciled with the chain.
+    """
+
+    label: IrrepLabel
+    chain: CasimirChain
+
+    casimir = property(lambda self: self.chain.casimir)
+    mu_scal42 = property(lambda self: self.chain.mu_scal42)
+    mu_squashed = property(lambda self: self.chain.mu_squashed)
+    lambdas = property(lambda self: self.chain.lambdas)
+
+    def _printed(self) -> dict[str, Scalar] | None:
+        return _PAPER_PRINTED.get((self.label.k1, self.label.k2, self.label.l))
+
+    paper_listed = property(lambda self: self._printed() is not None)
+    paper_mu = property(lambda self: (self._printed() or {}).get("mu"))
+    paper_mu_squashed = property(lambda self: (self._printed() or {}).get("mu_squashed"))
+    paper_lambda_printed = property(lambda self: (self._printed() or {}).get("lambda_printed"))
+
+    @property
+    def consistent_with_paper(self) -> bool | None:
+        """None when not listed, else whether the printed mu values match the chain."""
+        printed = self._printed()
+        if printed is None:
+            return None
+        mu, mu_squashed = self.chain.mu_scal42, self.chain.mu_squashed
+        return printed.get("mu", mu) == mu and printed.get("mu_squashed", mu_squashed) == mu_squashed
+
     def to_json(self, chain: dict | None = None) -> dict:
-        """The record's JSON; chain, if given, is chain_json() of a record with this Casimir."""
+        """The record's JSON; chain, if given, is the JSON of this record's chain."""
+        printed = self._printed()
         return {
             "label": [self.label.k1, self.label.k2, self.label.l],
-            **(self.chain_json() if chain is None else chain),
-            "paper_listed": self.paper_listed,
-            "paper_printed": {
-                key: value.to_json()
-                for key, value in (
-                    ("mu", self.paper_mu),
-                    ("mu_squashed", self.paper_mu_squashed),
-                    ("lambda_printed", self.paper_lambda_printed),
-                )
-                if value is not None
-            } if self.paper_listed else {},
-            "consistent_with_paper": self.consistent_with_paper,
+            **(self.chain.to_json() if chain is None else chain),
+            "paper_listed": printed is not None,
+            "paper_printed": {} if printed is None else {k: v.to_json() for k, v in printed.items()},
+            "consistent_with_paper": None if printed is None else self.consistent_with_paper,
         }
 
 
-_Chains = tuple[Scalar, Scalar, Scalar, tuple[Rate, ...]]
-
-
-def _chains(n: int) -> _Chains:
-    """Casimir, mu, mu_squashed and the in-range rates of N = -24 Cas."""
-    mu = Fraction(5 * n, 9)
-    # mu = 5N/9 gives the roots lambda = (-11 +- sqrt(5N + 1))/3; the minus
-    # root is <= -4 for every N >= 0, and the plus root is < 0 iff
-    # 5N + 1 < 121, so only N < 24 (Cas in (-1, 0]) has rates in (-4, 0).
-    lambdas = tuple(lambda_of_mu(mu)) if n < 24 else ()
-    return Scalar.coerce(Fraction(-n, 24)), Scalar.coerce(mu), Scalar.coerce(n), lambdas
-
-
-def _record(label: IrrepLabel, chains_by_n: dict[int, _Chains]) -> CasimirRecord:
-    """The record of one label; chains_by_n caches the chains per N = -24 Cas."""
-    n = _scaled_casimir(label.k1, label.k2, label.l)
-    if n not in chains_by_n:
-        chains_by_n[n] = _chains(n)
-    cas, mu, mu_squashed, lambdas = chains_by_n[n]
-    printed = _PAPER_PRINTED.get((label.k1, label.k2, label.l))
-    consistent: bool | None = None
-    if printed is not None:
-        consistent = True
-        if "mu" in printed and printed["mu"] != mu:
-            consistent = False
-        if "mu_squashed" in printed and printed["mu_squashed"] != mu_squashed:
-            consistent = False
-    return CasimirRecord(
-        label=label,
-        casimir=cas,
-        mu_scal42=mu,
-        mu_squashed=mu_squashed,
-        lambdas=lambdas,
-        paper_listed=printed is not None,
-        paper_mu=None if printed is None else printed.get("mu"),
-        paper_mu_squashed=None if printed is None else printed.get("mu_squashed"),
-        paper_lambda_printed=None if printed is None else printed.get("lambda_printed"),
-        consistent_with_paper=consistent,
-    )
-
-
 # Deepest admitted window: lo >= -MAX_WINDOW_DEPTH.  The label count grows
-# like depth^2; (-200, 0] holds 23,451 labels and takes about 0.2 s, and
-# a deeper window is refused (exit 3) rather than left to run for minutes.
+# like depth^2; (-200, 0] holds 23,451 labels and takes about 0.13 s (2 vCPUs),
+# and a deeper window is refused (exit 3) rather than left to run for minutes.
 MAX_WINDOW_DEPTH = 200
 
 
@@ -195,9 +186,11 @@ def enumerate_candidates(
     """All labels with Casimir in the window, exhaustively.
 
     Works on the integer N = -24 Cas, which is strictly increasing in k1,
-    k2 and l separately, so each loop runs until N passes the window's
-    top; every label outside the visited frontier then has a larger N,
-    which proves exhaustion.  Sorted by decreasing Casimir, then label.
+    k2 and l separately, so the k1 and k2 loops run until N passes the
+    window's top and the l range is solved in closed form; every label
+    outside the visited frontier then has a larger N, which proves
+    exhaustion.  Sorted by decreasing Casimir, then label; the labels of
+    one Casimir share one CasimirChain, built once per call.
     """
     lo, hi = Scalar.coerce(lo), Scalar.coerce(hi)
     if not (lo.is_rational() and hi.is_rational()):
@@ -214,31 +207,38 @@ def enumerate_candidates(
     k1 = 0
     while _scaled_casimir(k1, 0, 0) <= n_max:
         k2 = 0
-        while k2 <= k1 and _scaled_casimir(k1, k2, 0) <= n_max:
-            l = 0
-            while (n := _scaled_casimir(k1, k2, l)) <= n_max:
-                if n >= n_min:
-                    found.append((n, k1, k2, l))
-                l += 1
+        while k2 <= k1 and (base := _scaled_casimir(k1, k2, 0)) <= n_max:
+            # N = base + 3 l (l + 2) and l (l + 2) = (l + 1)^2 - 1, so N <= n_max iff
+            # (l + 1)^2 <= 1 + (n_max - base) // 3, and N >= n_min iff
+            # (l + 1)^2 >= 1 + c for c = ceil((n_min - base) / 3), i.e. l >= isqrt(c).
+            l_first = math.isqrt(max(0, -((base - n_min) // 3)))
+            l_last = math.isqrt(1 + (n_max - base) // 3) - 1
+            found += [(base + 3 * l * (l + 2), k1, k2, l) for l in range(l_first, l_last + 1)]
             k2 += 1
         k1 += 1
-    chains_by_n: dict[int, _Chains] = {}  # many labels share one Casimir
-    return [_record(IrrepLabel(k1, k2, l), chains_by_n) for _, k1, k2, l in sorted(found)]
+    found.sort()
+    records: list[CasimirRecord] = []
+    n_chain, chain = -1, None
+    for n, k1, k2, l in found:
+        if n != n_chain:
+            n_chain, chain = n, CasimirChain.of(n)
+        records.append(CasimirRecord(IrrepLabel(k1, k2, l), chain))
+    return records
 
 
 def records_json(records: Iterable[CasimirRecord]) -> list[dict]:
-    """[r.to_json() for r in records], building each chain's JSON once per Casimir.
+    """[r.to_json() for r in records], building each chain's JSON once per chain.
 
-    The chain is a function of the Casimir, and enumerate_candidates lists
-    the labels of one Casimir together, with one Casimir object, so one
-    chain_json() serves a run of equal Casimirs.
+    enumerate_candidates lists the labels of one Casimir together, sharing
+    one CasimirChain object, so one chain JSON serves each run of records
+    whose chain is the same object.
     """
     out: list[dict] = []
-    casimir, chain = None, {}
+    chain, chain_json = None, {}
     for record in records:
-        if record.casimir is not casimir and record.casimir != casimir:
-            casimir, chain = record.casimir, record.chain_json()
-        out.append(record.to_json(chain))
+        if record.chain is not chain:
+            chain, chain_json = record.chain, record.chain.to_json()
+        out.append(record.to_json(chain_json))
     return out
 
 

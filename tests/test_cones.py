@@ -338,6 +338,14 @@ def test_one_form_critical_rates_rejects_obata_violation():
         one_form_critical_rates([Scalar(-1)])
 
 
+@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(1), 7 - Fraction(1, 10**6)])
+def test_one_form_critical_rates_refuses_just_inside_the_obata_gap(mu):
+    # (0, 7) is refused up to both of its ends; 0 and 7 themselves are allowed
+    with pytest.raises(InputError):
+        one_form_critical_rates([Scalar(mu)])
+    assert one_form_critical_rates([Scalar(0), Scalar(7)]) == []
+
+
 def test_hcf_json_round_trip():
     psi, _ = psi_cone()
     again = HomogeneousConeForm.from_json(psi.to_json())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,9 +20,10 @@ from spin7ac.homrep import (
     LAMBDA_BAR_PAPER,
     MAX_WINDOW_DEPTH,
     PHI_FRAME,
-    CasimirRecord,
+    CasimirChain,
     HomData,
     IrrepLabel,
+    _scaled_casimir,
     bryant_salamon_link_data,
     bryant_salamon_pipeline,
     casimir,
@@ -112,14 +114,20 @@ def test_enumeration_closed_window():
 @pytest.mark.parametrize("include_lo", [False, True])
 @pytest.mark.parametrize("include_hi", [False, True])
 def test_enumeration_window_ends_against_brute_force(include_lo, include_hi):
-    # ends on, between and off the Casimir grid 1/24 Z
+    # ends on, between and off the Casimir grid 1/24 Z; the deep windows
+    # whose top lies below 0 start the l range above 0
     windows = [(-1, 0), (Fraction(-19, 24), Fraction(-3, 8)), (Fraction(-7, 5), Fraction(-1, 7)),
-               (Fraction(-2), Fraction(-2)), (Fraction(-5, 2), Fraction(1, 3))]
+               (Fraction(-2), Fraction(-2)), (Fraction(-5, 2), Fraction(1, 3)),
+               (Fraction(-60), Fraction(-40)), (Fraction(-1441, 24), Fraction(-961, 24)),
+               (Fraction(-90), Fraction(-179, 2)), (Fraction(-50), Fraction(-50)),
+               (Fraction(-1201, 24), Fraction(-1201, 24))]
     for lo, hi in windows:
+        # 2 k1^2 <= N and 3 l^2 <= N for N = -24 Cas bound every label in the window
+        n_top = math.floor(-24 * lo)
         brute = []
-        for k1 in range(8):
+        for k1 in range(math.isqrt(n_top // 2) + 1):
             for k2 in range(k1 + 1):
-                for l in range(8):
+                for l in range(math.isqrt(n_top // 3) + 1):
                     c = casimir(IrrepLabel(k1, k2, l))
                     above = lo <= c if include_lo else lo < c
                     below = c <= hi if include_hi else c < hi
@@ -157,17 +165,33 @@ def test_deepest_window_is_byte_identical_to_pin():
 def test_records_json_builds_each_chain_once_per_casimir(monkeypatch):
     records = enumerate_candidates(-MAX_WINDOW_DEPTH)
     calls = [0]
-    original = CasimirRecord.chain_json
+    original = CasimirChain.to_json
 
     def counting(self):
         calls[0] += 1
         return original(self)
 
-    monkeypatch.setattr(CasimirRecord, "chain_json", counting)
+    monkeypatch.setattr(CasimirChain, "to_json", counting)
     out = records_json(records)
     assert calls[0] == len({r.casimir for r in records})
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == _DEEPEST_WINDOW_SHA256
+
+
+def test_records_share_one_frozen_chain_per_casimir():
+    records = enumerate_candidates(-60)
+    assert len({id(r.chain) for r in records}) == len({r.casimir for r in records})
+    # casimir() and the chain take -N/24 by the same integer path
+    for r in records:
+        n = _scaled_casimir(r.label.k1, r.label.k2, r.label.l)
+        assert casimir(r.label) == r.casimir == Fraction(-n, 24)
+    record = records[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.chain = records[0].chain
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.chain.lambdas = ()
+    with pytest.raises(AttributeError):
+        record.casimir = Scalar(0)
 
 
 def test_rates_in_range_iff_casimir_above_minus_one():

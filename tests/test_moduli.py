@@ -169,6 +169,18 @@ def test_link_data_validation():
         )
 
 
+@pytest.mark.parametrize("rate", [Fraction(-4), Fraction(0)])
+def test_link_data_refuses_a_rate_at_either_end(rate):
+    with pytest.raises(InputError):
+        LinkData("bad", 0, 0, (Contribution(rate=Scalar(rate), dim=1),))
+
+
+def test_link_data_accepts_rates_just_inside_both_ends():
+    inside = (-4 + Fraction(1, 10**6), -Fraction(1, 10**6))
+    link = LinkData("edges", 0, 0, tuple(Contribution(rate=Scalar(r), dim=1) for r in inside))
+    assert [c.rate for c in link.contributions] == [Scalar(r) for r in inside]
+
+
 def test_link_data_sorted_and_round_trip():
     link = LinkData(
         name="two",
