@@ -43,7 +43,7 @@ from .linkexpr import (
     normalize,
     star_link,
 )
-from .scalars import ONE, ZERO, Scalar, sqrt_rational, strict_int
+from .scalars import ZERO, Scalar, sqrt_rational, strict_int
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,9 @@ class HomogeneousConeForm:
             return self
         if self.rate != other.rate:
             raise InputError("cannot add homogeneous forms of different rates")
-        keys = set(self.components) | set(other.components)
-        out: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
-        for k in keys:
-            a1, b1 = self.components.get(k, (None, None))
-            a2, b2 = other.components.get(k, (None, None))
-            out[k] = (_add_opt(a1, a2), _add_opt(b1, b2))
-        return HomogeneousConeForm.build(self.rate, out)
+        return _sum_parts(
+            self.rate, [(k, a, b) for g in (self, other) for k, (a, b) in g.components.items()]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousConeForm):
@@ -155,85 +151,67 @@ def _add_opt(x: LinkExpr | None, y: LinkExpr | None) -> LinkExpr | None:
     return x + y
 
 
+_Part = tuple[int, LinkExpr | None, LinkExpr | None]  # (cone degree, alpha, beta)
+
+
+def _sum_parts(rate: Scalar, parts: Iterable[_Part]) -> HomogeneousConeForm:
+    """The homogeneous form of the given rate whose components sum the parts per degree."""
+    sums: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
+    for k, alpha, beta in parts:
+        a, b = sums.get(k, (None, None))
+        sums[k] = (_add_opt(a, alpha), _add_opt(b, beta))
+    return HomogeneousConeForm.build(rate, sums)
+
+
 # -- the four cone operators ----------------------------------------------
 
 
 def cone_d(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
-    out: dict[int, list[LinkExpr | None]] = {}
     lam = g.rate
+    parts: list[_Part] = []
     for k, (alpha, beta) in g.components.items():
-        dr_part: LinkExpr | None = None
-        if beta is not None:
-            dr_part = beta.scale(lam + Scalar(k))
         if alpha is not None:
-            dr_part = _add_opt(dr_part, -d_link(alpha, rules))
-        tan_part = None if beta is None else d_link(beta, rules)
-        _accumulate(out, k + 1, dr_part, tan_part)
-    return _collect(lam - ONE, out)
+            parts.append((k + 1, -d_link(alpha, rules), None))
+        if beta is not None:
+            parts.append((k + 1, beta.scale(lam + k), d_link(beta, rules)))
+    return _sum_parts(lam - 1, parts)
 
 
 def cone_star(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
-    out: dict[int, list[LinkExpr | None]] = {}
+    parts: list[_Part] = []
     for k, (alpha, beta) in g.components.items():
         if k > 8:
             raise InputError("star undefined on formal degree-9 components")
-        dr_part = None
         if beta is not None:
-            dr_part = star_link(beta, rules)
-            if k % 2:
-                dr_part = -dr_part
-        tan_part = None if alpha is None else star_link(alpha, rules)
-        _accumulate(out, 8 - k, dr_part, tan_part)
-    return _collect(g.rate, out)
+            star_beta = star_link(beta, rules)
+            parts.append((8 - k, -star_beta if k % 2 else star_beta, None))
+        if alpha is not None:
+            parts.append((8 - k, None, star_link(alpha, rules)))
+    return _sum_parts(g.rate, parts)
 
 
 def cone_dstar(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
-    out: dict[int, list[LinkExpr | None]] = {}
     lam = g.rate
+    parts: list[_Part] = []
     for k, (alpha, beta) in g.components.items():
-        tan_part: LinkExpr | None = None
-        if alpha is not None:
-            tan_part = alpha.scale(-(lam + Scalar(8 - k)))
         if beta is not None:
-            tan_part = _add_opt(tan_part, dstar_link(beta, rules))
-        dr_part = None if alpha is None else -dstar_link(alpha, rules)
-        _accumulate(out, k - 1, dr_part, tan_part)
-    return _collect(lam - ONE, out)
+            parts.append((k - 1, None, dstar_link(beta, rules)))
+        if alpha is not None:
+            parts.append((k - 1, -dstar_link(alpha, rules), alpha.scale(-(lam + 8 - k))))
+    return _sum_parts(lam - 1, parts)
 
 
 def cone_laplacian(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
-    out: dict[int, list[LinkExpr | None]] = {}
     lam = g.rate
+    parts: list[_Part] = []
     for k, (alpha, beta) in g.components.items():
-        dr_part: LinkExpr | None = None
         if alpha is not None:
-            factor = (lam + Scalar(k - 2)) * (lam - Scalar(k) + Scalar(8))
-            dr_part = laplacian_link(alpha, rules) + alpha.scale(-factor)
+            dr = laplacian_link(alpha, rules) + alpha.scale(-(lam + k - 2) * (lam - k + 8))
+            parts.append((k, dr, d_link(alpha, rules).scale(-2)))
         if beta is not None:
-            dr_part = _add_opt(dr_part, dstar_link(beta, rules).scale(-2))
-        tan_part: LinkExpr | None = None
-        if beta is not None:
-            factor = (lam + Scalar(k)) * (lam - Scalar(k) + Scalar(6))
-            tan_part = laplacian_link(beta, rules) + beta.scale(-factor)
-        if alpha is not None:
-            tan_part = _add_opt(tan_part, d_link(alpha, rules).scale(-2))
-        _accumulate(out, k, dr_part, tan_part)
-    return _collect(lam - Scalar(2), out)
-
-
-def _accumulate(
-    out: dict[int, list[LinkExpr | None]],
-    k: int,
-    dr_part: LinkExpr | None,
-    tan_part: LinkExpr | None,
-) -> None:
-    slot = out.setdefault(k, [None, None])
-    slot[0] = _add_opt(slot[0], dr_part)
-    slot[1] = _add_opt(slot[1], tan_part)
-
-
-def _collect(rate: Scalar, out: dict[int, list[LinkExpr | None]]) -> HomogeneousConeForm:
-    return HomogeneousConeForm.build(rate, {k: (v[0], v[1]) for k, v in out.items()})
+            tan = laplacian_link(beta, rules) + beta.scale(-(lam + k) * (lam - k + 6))
+            parts.append((k, dstar_link(beta, rules).scale(-2), tan))
+    return _sum_parts(lam - 2, parts)
 
 
 # -- nearly parallel structure and ASD characterization -------------------
@@ -289,9 +267,9 @@ class AsdClosedCondition:
 
 def asd_closed_condition(lam: Scalar | int) -> AsdClosedCondition:
     lam = Scalar.coerce(lam)
-    if lam == Scalar(-4):
+    if lam == -4:
         return AsdClosedCondition(rate=lam, harmonic=True, coefficient=None)
-    return AsdClosedCondition(rate=lam, harmonic=False, coefficient=-(lam + Scalar(4)))
+    return AsdClosedCondition(rate=lam, harmonic=False, coefficient=-(lam + 4))
 
 
 def asd_form(alpha: Atom, lam: Scalar | int, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
@@ -299,9 +277,7 @@ def asd_form(alpha: Atom, lam: Scalar | int, rules: Relations = EMPTY_RELATIONS)
     if alpha.degree != 3:
         raise InputError("ASD 4-forms need a degree-3 link form")
     expr = LinkExpr.atom(alpha)
-    return HomogeneousConeForm.build(
-        Scalar.coerce(lam), {4: (expr, -star_link(expr, rules))}
-    )
+    return HomogeneousConeForm.build(lam, {4: (expr, -star_link(expr, rules))})
 
 
 # -- rate classification ---------------------------------------------------
@@ -426,23 +402,15 @@ def _parity_atoms(parity: str) -> dict[SlotKey, Atom]:
 
 
 def _first_order_equations(
-    parity: str, lam: Scalar, atoms: dict[SlotKey, Atom], rules: Relations
+    lam: Scalar, atoms: dict[SlotKey, Atom], rules: Relations
 ) -> list[LinkExpr]:
-    """Per-slot components of (d + d*)gamma = 0 for the generic form."""
-    components: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
-    degrees = (0, 2, 4, 6, 8) if parity == "even" else (1, 3, 5, 7)
-    for k in degrees:
-        alpha = LinkExpr.atom(atoms[(k - 1, "alpha")]) if k >= 1 else None
-        beta = LinkExpr.atom(atoms[(k, "beta")])
-        components[k] = (alpha, beta)
-    gamma = HomogeneousConeForm.build(lam, components)
+    """Per-slot components of (d + d*)gamma = 0 for the generic form on the atoms."""
+    gamma = _sum_parts(lam, [
+        (k + 1, LinkExpr.atom(atom), None) if slot == "alpha" else (k, None, LinkExpr.atom(atom))
+        for (k, slot), atom in atoms.items()
+    ])
     total = cone_d(gamma, rules) + cone_dstar(gamma, rules)
-    equations = []
-    for k, (alpha, beta) in total.components.items():
-        for expr in (alpha, beta):
-            if expr is not None:
-                equations.append(expr)
-    return equations
+    return [x for _, pair in sorted(total.components.items()) for x in pair if x is not None]
 
 
 def _promote_single_monomials(
@@ -502,13 +470,10 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
         raise InputError("classification rates must be rational")
     atoms = _parity_atoms(parity)
     rules = Relations()
-    states: dict[SlotKey, str] = {key: "unknown" for key in atoms}
-    mechanisms: dict[SlotKey, str] = {}
-    coefficients: dict[SlotKey, Scalar] = {}
-    details: dict[SlotKey, str] = {}
+    verdicts: dict[SlotKey, SlotVerdict] = {}
+    details: dict[SlotKey, str] = {}  # why a slot is still coupled
 
-    raw_equations = _first_order_equations(parity, lam, atoms, rules)
-    equations, _ = _promote_single_monomials(list(raw_equations), rules)
+    equations, _ = _promote_single_monomials(_first_order_equations(lam, atoms, rules), rules)
 
     # Stage 1: frozen second-order relations, modulo one first-order system.
     system = _first_order_system(equations, rules)
@@ -522,7 +487,7 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     for _ in range(2 * len(atoms) + 2):
         changed = False
         for key, atom in atoms.items():
-            if states[key] != "unknown":
+            if key in verdicts:
                 continue
             c, coupling = frozen[key]
             live = normalize(coupling, rules)
@@ -531,45 +496,30 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
                 continue
             sign = c.sign()
             if sign < 0:
-                states[key] = "zero"
-                mechanisms[key] = "eigenvalue"
-                coefficients[key] = c
+                verdicts[key] = SlotVerdict("forced-zero", "eigenvalue", c)
                 rules.zero.add(atom.name)
                 changed = True
             elif sign == 0:
-                states[key] = "harmonic"
-                coefficients[key] = c
+                verdicts[key] = SlotVerdict("harmonic", coefficient=c)
                 rules.harmonic.add(atom.name)
                 changed = True
             else:
                 details[key] = f"Delta {atom.name} = ({c}) {atom.name}, c > 0"
 
-        # Back-substitution: a first-order equation collapsing to c*x = 0.
+        # Back-substitution: a first-order equation collapsing to c*x = 0,
+        # which also overrules an earlier harmonic verdict.
         equations, promoted = _promote_single_monomials(equations, rules)
         changed |= promoted
         for key, atom in atoms.items():
-            if atom.name in rules.zero and states[key] != "zero":
-                states[key] = "zero"
-                mechanisms[key] = "back-substitution"
+            verdict = verdicts.get(key)
+            if atom.name in rules.zero and (verdict is None or verdict.status == "harmonic"):
+                verdicts[key] = SlotVerdict("forced-zero", "back-substitution")
                 changed = True
         if not changed:
             break
 
-    verdicts: dict[SlotKey, SlotVerdict] = {}
-    for key, atom in atoms.items():
-        state = states[key]
-        if state == "zero":
-            mechanism = mechanisms.get(key, "eigenvalue")
-            verdicts[key] = SlotVerdict(
-                status="forced-zero",
-                mechanism=mechanism,
-                coefficient=coefficients.get(key) if mechanism == "eigenvalue" else None,
-            )
-        elif state == "harmonic":
-            verdicts[key] = SlotVerdict(status="harmonic", coefficient=coefficients.get(key))
-        else:
-            verdicts[key] = SlotVerdict(status="coupled", detail=details.get(key, "unresolved"))
-    return RateClassification(parity=parity, rate=lam, verdicts=verdicts)
+    final = {key: verdicts.get(key) or SlotVerdict("coupled", detail=details[key]) for key in atoms}
+    return RateClassification(parity=parity, rate=lam, verdicts=final)
 
 
 def _render(reduced: dict[Monomial, Scalar], c: Scalar, atom: Atom) -> str:
@@ -628,19 +578,19 @@ def one_form_critical_rates(
     out: list[CriticalRate] = []
     for raw in scalar_eigenvalues:
         mu = Scalar.coerce(raw)
-        if mu < Scalar(0) or (Scalar(0) < mu < Scalar(7)):
+        if mu < 0 or 0 < mu < 7:
             raise InputError(
                 f"scalar eigenvalue {mu} violates the Lichnerowicz-Obata bound "
                 "(must be 0 or >= 7 at scalar curvature 42)"
             )
         # lambda = -4 +- sqrt(9 + mu); only the + root can land in (0, 1).
-        if not (Scalar(7) < mu < Scalar(16)):
+        if not 7 < mu < 16:
             continue
-        disc = mu + Scalar(9)
+        disc = mu + 9
         root = sqrt_rational(disc.as_fraction()) if disc.is_rational() else None
         source = f"type (ii): (lambda+1)(lambda+7) = {mu}"
         if root is not None:
-            lam = root - Scalar(4)
+            lam = root - 4
             out.append(CriticalRate(rate=lam, rate_float=float(lam), exact=True, source=source))
         else:
             lam_float = float(disc) ** 0.5 - 4.0

@@ -586,7 +586,7 @@ def bryant_salamon_pipeline() -> RigidityReport:
         )
 
     link = bryant_salamon_link_data()
-    expected = tuple(sorted(confirmed, key=lambda c: float(c.rate)))
+    expected = tuple(sorted(confirmed, key=lambda c: c.rate))
     if tuple((c.rate, c.dim) for c in expected) != tuple(
         (c.rate, c.dim) for c in link.contributions
     ):

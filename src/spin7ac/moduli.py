@@ -30,11 +30,12 @@ from .errors import InputError
 from .scalars import Scalar, sqrt_rational, strict_int
 
 MU_LOWER_BOUND = Fraction(-1, 9)  # minimum of mu over lambda in (-4, 0)
+_MU_ARGMIN = Fraction(-11, 3)  # where mu takes that minimum
 
 
 def mu_of_lambda(lam: Scalar | int | Fraction) -> Scalar:
     """mu = (lambda+4)^2 - (2/3)(lambda+4), exact."""
-    x = Scalar.coerce(lam) + Scalar(4)
+    x = Scalar.coerce(lam) + 4
     return x * x - x * Fraction(2, 3)
 
 
@@ -65,23 +66,22 @@ class Rate:
 def lambda_of_mu(mu: Scalar | int | Fraction) -> list[Rate]:
     """All rates lambda in (-4, 0) with mu_of_lambda(lambda) = mu.
 
-    Roots are lambda = -4 + 1/3 +- sqrt(1/9 + mu); exact when the
+    Roots are lambda = -11/3 +- sqrt(1/9 + mu); exact when the
     discriminant square root lies in the field, else binary64 with the
     approximate flag.  Raises for mu <= -1/9 (no real roots in range).
     """
     mu = Scalar.coerce(mu)
-    if mu <= Scalar(MU_LOWER_BOUND):
+    if mu <= MU_LOWER_BOUND:
         raise InputError(f"mu = {mu} <= -1/9: no rates in range")
-    disc = mu + Scalar(Fraction(1, 9))
+    disc = mu - MU_LOWER_BOUND
     roots: list[Rate] = []
     exact_sqrt = (
         sqrt_rational(disc.as_fraction()) if disc.is_rational() else None
     )
     for sign in (1, -1):
         if exact_sqrt is not None:
-            x = Scalar(Fraction(1, 3)) + exact_sqrt * sign
-            lam = x - Scalar(4)
-            if Scalar(-4) < lam < Scalar(0):
+            lam = exact_sqrt * sign + _MU_ARGMIN
+            if -4 < lam < 0:
                 roots.append(Rate.from_scalar(lam))
         else:
             x = 1.0 / 3.0 + sign * float(disc) ** 0.5
@@ -119,14 +119,14 @@ class LinkData:
         seen: list[Scalar] = []
         for contribution in self.contributions:
             lam = contribution.rate
-            if not (Scalar(-4) < lam < Scalar(0)):
+            if not -4 < lam < 0:
                 raise InputError(f"contribution rate {lam} outside (-4, 0)")
             if contribution.dim < 0:
                 raise InputError("dim E must be nonnegative")
             if any(lam == s for s in seen):
                 raise InputError(f"duplicate contribution rate {lam}")
             seen.append(lam)
-        ordered = tuple(sorted(self.contributions, key=lambda c: float(c.rate)))
+        ordered = tuple(sorted(self.contributions, key=lambda c: c.rate))
         object.__setattr__(self, "contributions", ordered)
 
     def to_json(self) -> dict:
@@ -202,13 +202,13 @@ def moduli_dimension(link: LinkData, nu: Scalar | int | Fraction) -> DimensionRe
     hypotheses of the formula.
     """
     nu = Scalar.coerce(nu)
-    if not (Scalar(-4) < nu < Scalar(0)):
+    if not -4 < nu < 0:
         raise InputError(f"nu = {nu} outside (-4, 0)")
     for bad in link.critical_rates:
         if nu == bad:
             raise InputError(f"nu = {nu} is a critical rate of the link data")
-        if nu + Scalar(1) == bad:
-            raise InputError(f"nu + 1 = {nu + Scalar(1)} is a critical rate")
+        if nu + 1 == bad:
+            raise InputError(f"nu + 1 = {nu + 1} is a critical rate")
     for contribution in link.contributions:
         if nu == contribution.rate:
             raise InputError(
@@ -251,7 +251,7 @@ def scaling_contribution(
     data must carry a contribution (nu_metric, dim >= 1).
     """
     nu_metric = Scalar.coerce(nu_metric)
-    if not (Scalar(-4) < nu_metric < Scalar(0)):
+    if not -4 < nu_metric < 0:
         raise InputError(f"nu_metric = {nu_metric} outside (-4, 0)")
     for contribution in link.contributions:
         if contribution.rate == nu_metric:
@@ -270,5 +270,5 @@ def scaling_contribution(
 
 def mu_range_minimum() -> tuple[Scalar, Scalar]:
     """(argmin, min) of mu over (-4, 0): (-11/3, -1/9)."""
-    lam = Scalar(Fraction(-11, 3))
+    lam = Scalar(_MU_ARGMIN)
     return lam, mu_of_lambda(lam)

@@ -120,10 +120,6 @@ class Scalar:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def rational(cls, x: RationalLike) -> "Scalar":
-        return cls(_frac(x))
-
-    @classmethod
     def sqrt5(cls, coeff: RationalLike = 1) -> "Scalar":
         return cls(0, coeff)
 
@@ -401,7 +397,7 @@ def sqrt_rational(q: Fraction) -> Scalar | None:
         raise InputError("sqrt of a negative rational requested")
     root = _sqrt_fraction(q)
     if root is not None:
-        return Scalar.rational(root)
+        return Scalar(root)
     for divisor, ctor in ((5, Scalar.sqrt5), (581, Scalar.sqrt581), (2905, Scalar.sqrt2905)):
         root = _sqrt_fraction(q / divisor)
         if root is not None:

@@ -21,7 +21,7 @@ from spin7ac.cones import (
     psi_cone,
 )
 from spin7ac.errors import InputError
-from spin7ac.linkexpr import Atom, LinkExpr, Relations, d_link, dstar_link, star_link
+from spin7ac.linkexpr import EMPTY_RELATIONS, Atom, LinkExpr, Relations, d_link, dstar_link, star_link
 from spin7ac.scalars import Scalar
 
 
@@ -365,3 +365,57 @@ def test_hcf_validation():
     b = HomogeneousConeForm.build(1, {2: (None, LinkExpr.atom(Atom("x", 2)))})
     with pytest.raises(InputError):
         a + b
+
+
+def _pin_coefficient(rng: random.Random) -> Scalar:
+    """A rational, or with even odds a surd in Q(sqrt5, sqrt581)."""
+    parts = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        parts += [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+    return Scalar(*parts)
+
+
+def _pin_form(rng: random.Random) -> HomogeneousConeForm:
+    """A random form over degrees 0..9; phi stands in some degree-3 slots."""
+    comps = {}
+    for k in rng.sample(range(0, 10), k=rng.randint(1, 4)):
+        alpha = beta = None
+        if k >= 1:
+            name = "phi" if k == 4 and rng.random() < 0.5 else f"a{k}"
+            alpha = LinkExpr.atom(Atom(name, k - 1)).scale(_pin_coefficient(rng))
+        if k <= 8 and rng.random() < 0.8:
+            name = "phi" if k == 3 and rng.random() < 0.5 else f"b{k}"
+            beta = LinkExpr.atom(Atom(name, k)).scale(_pin_coefficient(rng))
+        comps[k] = (alpha, beta)
+    surd = Fraction(rng.randint(-2, 2), 3) if rng.random() < 0.25 else 0
+    return HomogeneousConeForm.build(Scalar(Fraction(rng.randint(-8, 4), rng.randint(1, 3)), surd), comps)
+
+
+def _cone_operator_lines() -> list[str]:
+    rng = random.Random(2207)
+    rule_sets = (("empty", EMPTY_RELATIONS), ("psi", psi_cone()[1]))
+    lines = []
+    for _ in range(120):
+        g = _pin_form(rng)
+        for op in (cone_d, cone_star, cone_dstar, cone_laplacian):
+            for tag, rules in rule_sets:
+                try:
+                    out = json.dumps(op(g, rules).to_json(), sort_keys=True)
+                except InputError as exc:
+                    out = f"InputError: {exc}"
+                lines.append(f"{op.__name__} {tag} {out}")
+    return lines
+
+
+# sha256 of the four cone operators on 120 seeded random forms (rational and
+# surd coefficients and rates, formal degree-8 and degree-9 slots) under the
+# empty rules and the psi_cone() rules, star's degree-9 refusal included;
+# recorded at dc02227 before the operators shared one component accumulator.
+_CONE_OPERATOR_SHA256 = "e8c266573099699743fe13ae8a9c68a77ca68924fb49a78da89fd0cb4e85bec3"
+
+
+def test_cone_operators_are_byte_identical_to_pin():
+    lines = _cone_operator_lines()
+    assert any(line.startswith("cone_star") and "degree-9" in line for line in lines)
+    assert any('"sqrt5"' in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CONE_OPERATOR_SHA256

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from spin7ac.cli import main
 from spin7ac.errors import InputError
 from spin7ac.moduli import (
     Contribution,
@@ -196,6 +198,30 @@ def test_link_data_sorted_and_round_trip():
     again = LinkData.from_json(link.to_json())
     assert again.contributions == link.contributions
     assert again.critical_rates == link.critical_rates
+
+
+def test_link_data_order_does_not_depend_on_the_input_order(tmp_path, capsys):
+    # -1 and -1 + 10^-30 round to the same float; they must still sort exactly.
+    near = Fraction(-1) + Fraction(1, 10**30)
+    orders = ((Fraction(-1), near), (near, Fraction(-1)))
+    links = [
+        LinkData("close", 0, 0, tuple(Contribution(rate=Scalar(r), dim=1) for r in order))
+        for order in orders
+    ]
+    assert [c.rate for c in links[0].contributions] == [Scalar(-1), Scalar(near)]
+    assert links[0] == links[1]
+    assert links[0].to_json() == links[1].to_json()
+    outputs = []
+    for i, order in enumerate(orders):
+        path = tmp_path / f"link{i}.json"
+        contributions = [{"lambda": str(r), "dim_E": 1} for r in order]
+        path.write_text(json.dumps(
+            {"name": "close", "dim_h4_minus_L2": 0, "dim_im_upsilon4": 0, "contributions": contributions}
+        ))
+        assert main(["moduli-dim", "--nu=-1/2", "--link", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["total"] == 2
 
 
 def test_scaling_contribution_validator():
