@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
 
 from . import cones, homrep, moduli, projectors
 from .errors import InputError, InternalCheckError
@@ -54,18 +53,6 @@ def _read_json(path: str) -> dict:
         raise InputError("JSON input is nested too deeply") from exc
     except ValueError as exc:  # also an integer past the int-to-str digit limit
         raise InputError(str(exc)) from exc
-
-
-def data_path(name: str):
-    """Path to a shipped data file (bryant-salamon.json, psi0.json)."""
-    return resources.files("spin7ac.data").joinpath(name)
-
-
-def _load_link(path: str | None) -> moduli.LinkData:
-    if path is None:
-        with resources.as_file(data_path("bryant-salamon.json")) as p:
-            return moduli.LinkData.load(str(p))
-    return moduli.LinkData.from_json(_read_json(path))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -162,7 +149,10 @@ def _cmd_critical_rates(args: argparse.Namespace) -> None:
 
 
 def _cmd_moduli_dim(args: argparse.Namespace) -> None:
-    link = _load_link(args.link)
+    if args.link is None:
+        link = homrep.bryant_salamon_link_data()
+    else:
+        link = moduli.LinkData.from_json(_read_json(args.link))
     report = moduli.moduli_dimension(link, _rational(args.nu))
     _emit(report.to_json())
 

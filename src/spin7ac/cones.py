@@ -43,7 +43,8 @@ from .linkexpr import (
     normalize,
     star_link,
 )
-from .scalars import ZERO, Scalar, sqrt_rational, strict_int
+from .moduli import Rate, indicial_roots
+from .scalars import ZERO, Scalar, strict_int
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,8 @@ def _sum_parts(rate: Scalar, parts: Iterable[_Part]) -> HomogeneousConeForm:
     for k, alpha, beta in parts:
         a, b = sums.get(k, (None, None))
         sums[k] = (_add_opt(a, alpha), _add_opt(b, beta))
+    if any(x is not None and not x.is_zero() for x in sums.get(10, ())):  # only d raises the degree
+        raise InputError("d undefined on formal degree-9 components")
     return HomogeneousConeForm.build(rate, sums)
 
 
@@ -536,16 +539,15 @@ def _render(reduced: dict[Monomial, Scalar], c: Scalar, atom: Atom) -> str:
 
 @dataclass(frozen=True)
 class CriticalRate:
-    rate: Scalar | None
-    rate_float: float
-    exact: bool
+    rate: Rate
     source: str
 
     def to_json(self) -> dict:
+        rate = self.rate.to_json()
         return {
-            "rate": None if self.rate is None else self.rate.to_json(),
-            "rate_float": self.rate_float,
-            "exact": self.exact,
+            "rate": rate["value"],
+            "rate_float": rate["float"],
+            "exact": rate["exact"],
             "source": self.source,
         }
 
@@ -586,15 +588,6 @@ def one_form_critical_rates(
         # lambda = -4 +- sqrt(9 + mu); only the + root can land in (0, 1).
         if not 7 < mu < 16:
             continue
-        disc = mu + 9
-        root = sqrt_rational(disc.as_fraction()) if disc.is_rational() else None
-        source = f"type (ii): (lambda+1)(lambda+7) = {mu}"
-        if root is not None:
-            lam = root - 4
-            out.append(CriticalRate(rate=lam, rate_float=float(lam), exact=True, source=source))
-        else:
-            lam_float = float(disc) ** 0.5 - 4.0
-            out.append(
-                CriticalRate(rate=None, rate_float=lam_float, exact=False, source=source)
-            )
+        plus, _ = indicial_roots(0, mu + 9)
+        out.append(CriticalRate(Rate.of(plus), f"type (ii): (lambda+1)(lambda+7) = {mu}"))
     return out

