@@ -22,8 +22,8 @@ from .scalars import Scalar
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # One write: json.dump into sys.stdout makes one write per token.
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _rational(text: str) -> Scalar:

@@ -20,16 +20,20 @@ The source computation prints several eigenvalue pairs that do not
 satisfy its own dictionary (mu = 64/5 vs the formula value 80/9 for
 V(1,1,0), and the squashed eigenvalues 72/5 vs 10 and 324/25 vs 9).
 Records carry BOTH chains, explicitly flagged, and never silently
-reconcile them; the rigidity verdict is insensitive to the choice.  The
-printed candidate list itself omits one admissible label, (1,0,1) with
-Cas = -19/24: the exhaustive enumeration reports it, flagged as absent
-from the printed list, with its obstruction left explicitly unresolved
-(no printed Hom data exists for it).
+reconcile them.  Every printed value is 36/25 times the formula value,
+i.e. the printed chain takes mu = -(96/5) Cas.  The verdicts of the listed
+labels do not depend on the choice; the candidate set does.  Under the
+formula chain the exhaustive enumeration has one admissible label the
+printed list omits, (1,0,1) with Cas = -19/24; under the printed constant
+it has no rate in (-4, 0).  It is reported, flagged as absent from the
+printed list, with its obstruction left explicitly unresolved (no printed
+Hom data exists for it).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -172,37 +176,32 @@ class CasimirRecord:
 
 
 # Deepest admitted window: lo >= -MAX_WINDOW_DEPTH.  The label count grows
-# like depth^2; (-200, 0] holds 23,451 labels and takes about 0.13 s (2 vCPUs),
-# and a deeper window is refused (exit 3) rather than left to run for minutes.
+# like depth^2.  (-200, 0] holds 23,451 labels, the most the per-process
+# ladder below ever holds; building them all takes about 0.13 s (2 vCPUs).
+# A deeper window is refused (exit 3) rather than left to run for minutes.
 MAX_WINDOW_DEPTH = 200
 
+# The ladder: every record with N = -24 Cas <= top, sorted by (N, label), and
+# the parallel tuple of their N.  It only grows, and each growth replaces the
+# whole (top, ns, records) snapshot in one assignment, so a reader never sees
+# a partial rung and the frozen records and chains are shared by every caller.
+_ladder: tuple[int, tuple[int, ...], tuple[CasimirRecord, ...]] = (-1, (), ())
 
-def enumerate_candidates(
-    lo: Scalar | int | Fraction,
-    hi: Scalar | int | Fraction = 0,
-    include_lo: bool = False,
-    include_hi: bool = True,
-) -> list[CasimirRecord]:
-    """All labels with Casimir in the window, exhaustively.
 
-    Works on the integer N = -24 Cas, which is strictly increasing in k1,
-    k2 and l separately, so the k1 and k2 loops run until N passes the
-    window's top and the l range is solved in closed form; every label
-    outside the visited frontier then has a larger N, which proves
-    exhaustion.  Sorted by decreasing Casimir, then label; the labels of
-    one Casimir share one CasimirChain, built once per call.
+def _grow_ladder(n_max: int) -> tuple[int, tuple[int, ...], tuple[CasimirRecord, ...]]:
+    """The ladder, grown if need be to hold every label with N <= n_max.
+
+    N = -24 Cas is strictly increasing in k1, k2 and l separately, so the k1
+    and k2 loops run until N passes n_max and the l range of the new rungs,
+    top < N <= n_max, is solved in closed form; every label outside the
+    visited frontier then has a larger N, which proves exhaustion.
     """
-    lo, hi = Scalar.coerce(lo), Scalar.coerce(hi)
-    if not (lo.is_rational() and hi.is_rational()):
-        raise InputError("Casimir window bounds must be rational")
-    lo, hi = lo.as_fraction(), hi.as_fraction()
-    if hi < lo:
-        raise InputError("empty window: hi < lo")
-    if lo < -MAX_WINDOW_DEPTH:
-        raise InputError(f"Casimir window reaches below -{MAX_WINDOW_DEPTH}")
-    # lo < Cas <= hi  <=>  -24 hi <= N < -24 lo, with the ends per the flags
-    n_min = math.ceil(-24 * hi) if include_hi else math.floor(-24 * hi) + 1
-    n_max = math.floor(-24 * lo) if include_lo else math.ceil(-24 * lo) - 1
+    global _ladder
+    ladder = _ladder
+    top, ns, records = ladder
+    if n_max <= top:
+        return ladder
+    n_min = top + 1
     found: list[tuple[int, int, int, int]] = []
     k1 = 0
     while _scaled_casimir(k1, 0, 0) <= n_max:
@@ -217,21 +216,51 @@ def enumerate_candidates(
             k2 += 1
         k1 += 1
     found.sort()
-    records: list[CasimirRecord] = []
+    rungs: list[CasimirRecord] = []
     n_chain, chain = -1, None
     for n, k1, k2, l in found:
         if n != n_chain:
             n_chain, chain = n, CasimirChain.of(n)
-        records.append(CasimirRecord(IrrepLabel(k1, k2, l), chain))
-    return records
+        rungs.append(CasimirRecord(IrrepLabel(k1, k2, l), chain))
+    ladder = (n_max, ns + tuple(n for n, _, _, _ in found), records + tuple(rungs))
+    _ladder = ladder
+    return ladder
+
+
+def enumerate_candidates(
+    lo: Scalar | int | Fraction,
+    hi: Scalar | int | Fraction = 0,
+    include_lo: bool = False,
+    include_hi: bool = True,
+) -> list[CasimirRecord]:
+    """All labels with Casimir in the window, exhaustively, as a fresh list.
+
+    Works on the integer N = -24 Cas: the window is a contiguous slice of
+    the ladder of all labels sorted by N, found by bisection once the ladder
+    reaches the window's largest N.  Sorted by decreasing Casimir, then label;
+    the labels of one Casimir share one CasimirChain, built once per process.
+    """
+    lo, hi = Scalar.coerce(lo), Scalar.coerce(hi)
+    if not (lo.is_rational() and hi.is_rational()):
+        raise InputError("Casimir window bounds must be rational")
+    lo, hi = lo.as_fraction(), hi.as_fraction()
+    if hi < lo:
+        raise InputError("empty window: hi < lo")
+    if lo < -MAX_WINDOW_DEPTH:
+        raise InputError(f"Casimir window reaches below -{MAX_WINDOW_DEPTH}")
+    # lo < Cas <= hi  <=>  -24 hi <= N < -24 lo, with the ends per the flags
+    n_min = math.ceil(-24 * hi) if include_hi else math.floor(-24 * hi) + 1
+    n_max = math.floor(-24 * lo) if include_lo else math.ceil(-24 * lo) - 1
+    _, ns, records = _grow_ladder(n_max)
+    return list(records[bisect_left(ns, n_min):bisect_right(ns, n_max)])
 
 
 def records_json(records: Iterable[CasimirRecord]) -> list[dict]:
     """[r.to_json() for r in records], building each chain's JSON once per chain.
 
     enumerate_candidates lists the labels of one Casimir together, sharing
-    one CasimirChain object, so one chain JSON serves each run of records
-    whose chain is the same object.
+    one CasimirChain object built once per process, so one chain JSON serves
+    each run of records whose chain is the same object.
     """
     out: list[dict] = []
     chain, chain_json = None, {}

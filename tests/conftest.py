@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from spin7ac import scalars
+from spin7ac import homrep, scalars
 from spin7ac.projectors import build_projectors
 
 
@@ -28,3 +28,17 @@ def canonical_calls(monkeypatch):
         if name.startswith("spin7ac") and getattr(module, "_canonical", None) is original:
             monkeypatch.setattr(module, "_canonical", counting)
     return calls
+
+
+@pytest.fixture
+def empty_ladder(monkeypatch):
+    """Start the test with homrep's ladder of records empty, and restore it after.
+
+    Returns a function that empties the ladder again within the test.
+    """
+
+    def empty():
+        monkeypatch.setattr(homrep, "_ladder", (-1, (), ()))
+
+    empty()
+    return empty

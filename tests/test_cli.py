@@ -434,6 +434,8 @@ _STDOUT_SHA256 = {
     "moduli-dim-2": (("moduli-dim", "--nu=-2"), "8b21880b732fc201c22712c763799689168752b464ab152f64cfc6d7d5d36359"),
     "casimir": (("casimir", "--k1", "2", "--k2", "1", "--l", "3"), "7cd50408e54e66ecf5e9689584611b5a198f90ff617c623086625e507e83b568"),
     "enumerate": (("enumerate", "--lo=-30", "--hi", "0"), "e4eaba1c807c16fc32cbd5cba834d9e1f17552696b4b7341fcac48b4eeb12fd3"),
+    # the deepest admitted window, 8,046,239 bytes, recorded at 9ff3475
+    "enumerate-200": (("enumerate", "--lo=-200"), "a680a9c5376cc50ba8611b5db7915d8656e6883b17db8328356027fb6e21e0a7"),
     "bryant-salamon": (("bryant-salamon",), "da5953a159426fbccebf986522971155e62ef3d979de77fa8683f7c7d9eed708"),
 }
 

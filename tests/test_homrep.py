@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin7ac import homrep
 from spin7ac.errors import InputError
 from spin7ac.forms import Form, hodge_star, wedge
 from spin7ac.homrep import (
@@ -20,6 +23,7 @@ from spin7ac.homrep import (
     LAMBDA_BAR_PAPER,
     MAX_WINDOW_DEPTH,
     PHI_FRAME,
+    _PAPER_PRINTED,
     CasimirChain,
     HomData,
     IrrepLabel,
@@ -192,6 +196,120 @@ def test_records_share_one_frozen_chain_per_casimir():
         record.chain.lambdas = ()
     with pytest.raises(AttributeError):
         record.casimir = Scalar(0)
+
+
+def _all_labels_by_n(n_top: int) -> list[tuple[int, tuple[int, int, int]]]:
+    """(N, label) for every label with N = -24 Cas <= n_top, sorted, by brute force."""
+    return sorted(
+        (_scaled_casimir(k1, k2, l), (k1, k2, l))
+        for k1 in range(math.isqrt(n_top // 2) + 1)
+        for k2 in range(k1 + 1)
+        for l in range(math.isqrt(n_top // 3) + 1)
+        if _scaled_casimir(k1, k2, l) <= n_top
+    )
+
+
+@pytest.mark.parametrize("include_lo", [False, True])
+@pytest.mark.parametrize("include_hi", [False, True])
+def test_ladder_matches_brute_force_in_any_call_order(empty_ladder, include_lo, include_hi):
+    # thin deep windows, whole windows and windows off the 1/24 grid, asked
+    # deepest first (the ladder is built at once) and shallowest first (it
+    # grows with every call)
+    windows = [(Fraction(-200), Fraction(-199)), (Fraction(-200), Fraction(0)),
+               (Fraction(-100), Fraction(-99)), (Fraction(-1441, 24), Fraction(-961, 24)),
+               (Fraction(-5, 2), Fraction(1, 3)), (Fraction(-2), Fraction(-2)),
+               (Fraction(-7, 5), Fraction(-1, 7)), (Fraction(-1), Fraction(0))]
+    brute = _all_labels_by_n(24 * MAX_WINDOW_DEPTH)
+    for order in (windows, windows[::-1]):
+        empty_ladder()
+        for lo, hi in order:
+            expected = [
+                label for n, label in brute
+                if (lo <= Fraction(-n, 24) if include_lo else lo < Fraction(-n, 24))
+                and (Fraction(-n, 24) <= hi if include_hi else Fraction(-n, 24) < hi)
+            ]
+            records = enumerate_candidates(lo, hi, include_lo=include_lo, include_hi=include_hi)
+            assert [(r.label.k1, r.label.k2, r.label.l) for r in records] == expected, (lo, hi)
+
+
+def test_each_call_returns_a_fresh_list_of_shared_records(empty_ladder):
+    first = enumerate_candidates(-1)
+    first.clear()
+    second = enumerate_candidates(-1)
+    assert len(second) == 5 and second is not enumerate_candidates(-1)
+    # a deeper call shares the records and chains the first call built
+    deeper = enumerate_candidates(-2)
+    assert all(a is b for a, b in zip(second, deeper))
+    assert deeper[4].chain is second[4].chain
+
+
+def test_ladder_holds_the_deepest_window_once(empty_ladder):
+    enumerate_candidates(-MAX_WINDOW_DEPTH)
+    snapshot = homrep._ladder
+    top, ns, records = snapshot
+    assert top == 24 * MAX_WINDOW_DEPTH - 1
+    assert len(ns) == len(records) == 23451
+    assert ns == tuple(_scaled_casimir(r.label.k1, r.label.k2, r.label.l) for r in records)
+    assert list(ns) == sorted(ns)
+    for lo, hi in ((-MAX_WINDOW_DEPTH, 0), (-1, 0), (-200, -199), (Fraction(-7, 5), 1), (3, 5)):
+        enumerate_candidates(lo, hi)
+        assert homrep._ladder is snapshot
+
+
+def test_cold_import_builds_no_rung():
+    code = (
+        f"import sys; sys.path[:0] = {sys.path!r}\n"
+        "import spin7ac.cli\n"
+        "from spin7ac import homrep\n"
+        "assert homrep._ladder == (-1, (), ()), homrep._ladder[0]\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_printed_values_are_36_25_times_the_formula_chain():
+    # Every eigenvalue printed at the source is 36/25 times the formula
+    # chain's, i.e. the printed chain takes mu = 4N/5 where the code takes
+    # 5N/9.  This pins the fact; it rules on no acceptance criterion.
+    by_label = {(r.label.k1, r.label.k2, r.label.l): r for r in enumerate_candidates(-1)}
+    ratio = Fraction(36, 25)
+    pairs = {
+        (label, field): (printed[field], getattr(by_label[label].chain, chain_field))
+        for label, printed in _PAPER_PRINTED.items()
+        for field, chain_field in (("mu", "mu_scal42"), ("mu_squashed", "mu_squashed"))
+        if field in printed
+    }
+    assert {key: (str(p), str(f)) for key, (p, f) in pairs.items() if not f.is_zero()} == {
+        ((0, 0, 1), "mu_squashed"): ("324/25", "9"),
+        ((1, 0, 0), "mu_squashed"): ("72/5", "10"),
+        ((1, 1, 0), "mu"): ("64/5", "80/9"),
+        ((1, 1, 0), "mu_squashed"): ("576/25", "16"),
+    }
+    assert all(p == f * ratio for p, f in pairs.values())
+    # the one other field is the printed rate of (1,1,0), up to its sign the
+    # in-range root of the printed mu
+    assert {f for printed in _PAPER_PRINTED.values() for f in printed} == {
+        "mu", "mu_squashed", "lambda_printed"
+    }
+    (root,) = lambda_of_mu(_PAPER_PRINTED[(1, 1, 0)]["mu"])
+    assert root.value == -_PAPER_PRINTED[(1, 1, 0)]["lambda_printed"]
+
+    # The plus root grows with mu and mu with N, so the labels of (-4, 0]
+    # (N < 96) include every label with a rate in (-4, 0) under either constant.
+    records = enumerate_candidates(-4)
+    assert lambda_of_mu(Fraction(5 * 95, 9)) == [] and lambda_of_mu(Fraction(4 * 95, 5)) == []
+
+    def with_rates(mu_of_n):
+        return [
+            (r.label.k1, r.label.k2, r.label.l)
+            for r in records
+            if lambda_of_mu(mu_of_n(-24 * r.casimir.as_fraction()))
+        ]
+
+    printed = [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+    assert with_rates(lambda n: n * Fraction(4, 5)) == printed
+    assert with_rates(lambda n: n * Fraction(5, 9)) == printed + [(1, 0, 1)]
+    assert [(r.label.k1, r.label.k2, r.label.l) for r in records if r.lambdas] == printed + [(1, 0, 1)]
 
 
 def test_rates_in_range_iff_casimir_above_minus_one():
