@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_critical_rates)
 
     p = sub.add_parser("moduli-dim", help="moduli dimension formula")
-    p.add_argument("--link", help="path to LinkData JSON (default: shipped Bryant-Salamon)")
+    p.add_argument("--link", help="path to LinkData JSON (default: homrep.bryant_salamon_link_data())")
     p.add_argument("--nu", required=True, help="rational rate in (-4,0)")
     p.set_defaults(handler=_cmd_moduli_dim)
 

@@ -344,49 +344,36 @@ def _monomial_rank(m: Monomial):
 
 
 class _LinearSystem:
-    """Gaussian elimination over the (word, atom) monomial basis."""
+    """Echelon rows over the (word, atom) monomial basis.
+
+    Each row is normalised at its pivot and holds no pivot of an earlier
+    row, so one in-order pass of ``reduce`` leaves no pivot monomial; that
+    remainder is unique for the span and its pivots.
+    """
 
     def __init__(self) -> None:
-        self.rows: list[dict[Monomial, Scalar]] = []
-        self.pivots: list[Monomial] = []
+        self.rows: list[tuple[Monomial, dict[Monomial, Scalar]]] = []
 
     def add(self, expr: LinkExpr) -> None:
+        vec = self.reduce(expr)
+        if vec:
+            pivot = min(vec, key=_monomial_rank)
+            inv = vec[pivot].inverse()
+            self.rows.append((pivot, {m: c * inv for m, c in vec.items()}))
+
+    def reduce(self, expr: LinkExpr) -> dict[Monomial, Scalar]:
         vec = dict(expr.terms)
-        vec = self._reduce(vec)
-        if not vec:
-            return
-        pivot = min(vec, key=_monomial_rank)
-        inv = vec[pivot].inverse()
-        vec = {m: c * inv for m, c in vec.items()}
-        for i, row in enumerate(self.rows):
-            coeff = row.get(pivot)
-            if coeff is not None:
-                self.rows[i] = _row_sub(row, vec, coeff)
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-
-    def _reduce(self, vec: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-        for pivot, row in zip(self.pivots, self.rows):
-            coeff = vec.get(pivot)
-            if coeff is not None:
-                vec = _row_sub(vec, row, coeff)
+        for pivot, row in self.rows:
+            factor = vec.get(pivot)
+            if factor is None:
+                continue
+            for m, c in row.items():
+                new = vec.get(m, ZERO) - factor * c
+                if new.is_zero():
+                    vec.pop(m, None)
+                else:
+                    vec[m] = new
         return vec
-
-    def reduce_expr(self, expr: LinkExpr) -> dict[Monomial, Scalar]:
-        return self._reduce(dict(expr.terms))
-
-
-def _row_sub(
-    vec: dict[Monomial, Scalar], row: dict[Monomial, Scalar], factor: Scalar
-) -> dict[Monomial, Scalar]:
-    out = dict(vec)
-    for m, c in row.items():
-        new = out.get(m, ZERO) - factor * c
-        if new.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = new
-    return out
 
 
 def _parity_atoms(parity: str) -> dict[SlotKey, Atom]:
@@ -467,6 +454,12 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     equations that collapse onto a single slot force it to zero by
     back-substitution.  Certifies the (even, -4) and (odd, -3) tables;
     at other rates stalled slots are reported as coupled, not guessed.
+
+    Stage 2 needs no pass cap.  A pass that changes anything settles a
+    slot for the first time, overrules a harmonic verdict (so each slot
+    changes at most twice), or promotes an equation to a kill rule (the
+    promotion drops it, and the equations never grow).  Each of these
+    happens finitely often, so some pass changes nothing and the loop ends.
     """
     lam = Scalar.coerce(lam)
     if not lam.is_rational():
@@ -474,7 +467,6 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     atoms = _parity_atoms(parity)
     rules = Relations()
     verdicts: dict[SlotKey, SlotVerdict] = {}
-    details: dict[SlotKey, str] = {}  # why a slot is still coupled
 
     equations, _ = _promote_single_monomials(_first_order_equations(lam, atoms, rules), rules)
 
@@ -482,20 +474,17 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     system = _first_order_system(equations, rules)
     frozen: dict[SlotKey, tuple[Scalar, LinkExpr]] = {}
     for key, atom in atoms.items():
-        reduced = system.reduce_expr(laplacian_link(LinkExpr.atom(atom), rules))
+        reduced = system.reduce(laplacian_link(LinkExpr.atom(atom), rules))
         c = reduced.pop(((), atom), ZERO)
         frozen[key] = (c, LinkExpr(atom.degree, reduced))
 
-    # Stage 2: propagation to a fixed point.
-    for _ in range(2 * len(atoms) + 2):
+    # Stage 2: propagation to a fixed point (see the docstring for why it ends).
+    changed = True
+    while changed:
         changed = False
         for key, atom in atoms.items():
-            if key in verdicts:
-                continue
             c, coupling = frozen[key]
-            live = normalize(coupling, rules)
-            if not live.is_zero():
-                details[key] = _render(dict(live.terms), c, atom)
+            if key in verdicts or not normalize(coupling, rules).is_zero():
                 continue
             sign = c.sign()
             if sign < 0:
@@ -506,8 +495,6 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
                 verdicts[key] = SlotVerdict("harmonic", coefficient=c)
                 rules.harmonic.add(atom.name)
                 changed = True
-            else:
-                details[key] = f"Delta {atom.name} = ({c}) {atom.name}, c > 0"
 
         # Back-substitution: a first-order equation collapsing to c*x = 0,
         # which also overrules an earlier harmonic verdict.
@@ -518,20 +505,19 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
             if atom.name in rules.zero and (verdict is None or verdict.status == "harmonic"):
                 verdicts[key] = SlotVerdict("forced-zero", "back-substitution")
                 changed = True
-        if not changed:
-            break
 
-    final = {key: verdicts.get(key) or SlotVerdict("coupled", detail=details[key]) for key in atoms}
-    return RateClassification(parity=parity, rate=lam, verdicts=final)
-
-
-def _render(reduced: dict[Monomial, Scalar], c: Scalar, atom: Atom) -> str:
-    bits = [f"({c}) {atom.name}"] if not c.is_zero() else []
-    for (word, a), coeff in sorted(reduced.items()):
-        ops = " ".join(word) + " " if word else ""
-        bits.append(f"({coeff}) {ops}{a.name}")
-    rhs = " + ".join(bits) if bits else "0"
-    return f"Delta {atom.name} = {rhs}"
+    # A slot no rule settled stalled on c > 0 or on its live coupling.
+    for key, atom in atoms.items():
+        if key not in verdicts:
+            c, coupling = frozen[key]
+            live = normalize(coupling, rules)
+            if live.is_zero():
+                detail = f"Delta {atom.name} = ({c}) {atom.name}, c > 0"
+            else:
+                lead = "" if c.is_zero() else f"({c}) {atom.name} + "
+                detail = f"Delta {atom.name} = {lead}{live!r}"
+            verdicts[key] = SlotVerdict("coupled", detail=detail)
+    return RateClassification(parity, lam, {key: verdicts[key] for key in atoms})
 
 
 # -- critical rates of the Laplacian on 1-forms ----------------------------

@@ -219,6 +219,33 @@ def test_every_module_level_function_and_class_is_referenced():
     assert dead == []
 
 
+def test_every_method_is_referenced():
+    # A non-dunder method of a spin7ac class that no code in src/ or tests/
+    # names outside its own body is dead code.
+    def names(node: ast.AST):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+
+    package = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
+    paths = package + sorted(Path(__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    uses = collections.Counter(name for tree in trees.values() for name in names(tree))
+    dead = [
+        (path.stem, cls.name, method.name)
+        for path in package
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and uses[method.name] == collections.Counter(names(method))[method.name]
+    ]
+    assert dead == []
+
+
 def test_cone_op_subcommand(capsys, tmp_path):
     gamma = {
         "rate": {"1": "0/1"},

@@ -21,8 +21,17 @@ from spin7ac.cones import (
     psi_cone,
 )
 from spin7ac.errors import InputError
-from spin7ac.linkexpr import EMPTY_RELATIONS, Atom, LinkExpr, Relations, d_link, dstar_link, star_link
-from spin7ac.scalars import Scalar
+from spin7ac.linkexpr import (
+    EMPTY_RELATIONS,
+    Atom,
+    LinkExpr,
+    Relations,
+    d_link,
+    dstar_link,
+    laplacian_link,
+    star_link,
+)
+from spin7ac.scalars import ZERO, Scalar
 
 
 def random_mixed_form(rng: random.Random, degrees=range(0, 9)) -> HomogeneousConeForm:
@@ -296,6 +305,95 @@ def test_classification_grid_is_byte_identical_to_pin():
         for rate in rates
     ]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_GRID_SHA256
+
+
+# sha256 of the classify_rate JSON (even then odd) over the sorted union of
+# every rate k/q in (-12, 6] with q <= 4 outside the grid above (72 rates)
+# and 24 rationals from random.Random(28) with numerator in +-10^6 and
+# denominator 1..10^4: positive rates, rates below -6, large denominators.
+# Recorded before the echelon rows were reduced in one pass.
+_CLASSIFY_SWEEP_SHA256 = "2d2484d5750f9cc4f12255b444b266290a21ded6ff14daacf0a4609d3800efe7"
+
+
+def test_classification_sweep_is_byte_identical_to_pin():
+    grid = {Fraction(k, q) for q in range(1, 7) for k in range(-6 * q + 1, 1)}
+    small = {Fraction(k, q) for q in range(1, 5) for k in range(-12 * q + 1, 6 * q + 1)} - grid
+    rng = random.Random(28)
+    large = {Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(24)}
+    rates = sorted(small | large)
+    assert (len(small), len(rates)) == (72, 96)
+    lines = [
+        json.dumps(classify_rate(parity, rate).to_json(), sort_keys=True)
+        for parity in ("even", "odd")
+        for rate in rates
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_SWEEP_SHA256
+
+
+def _back_eliminated_remainder(exprs, target):
+    """Reference remainder: rows fully back-eliminated, pivots picked as in cones."""
+    rows = {}  # pivot -> row normalised at it, holding no other pivot
+
+    def sub(vec, row, factor):
+        out = {m: vec.get(m, ZERO) - factor * row.get(m, ZERO) for m in vec.keys() | row.keys()}
+        return {m: c for m, c in out.items() if not c.is_zero()}
+
+    def reduce(vec):
+        for pivot, row in rows.items():
+            if pivot in vec:
+                vec = sub(vec, row, vec[pivot])
+        return vec
+
+    for expr in exprs:
+        vec = reduce(dict(expr.terms))
+        if vec:
+            pivot = min(vec, key=cones._monomial_rank)
+            vec = {m: c / vec[pivot] for m, c in vec.items()}
+            for other, row in rows.items():
+                if pivot in row:
+                    rows[other] = sub(row, vec, row[pivot])
+            rows[pivot] = vec
+    return reduce(dict(target.terms))
+
+
+def test_linear_system_reduces_past_later_pivots():
+    # The row a + b keeps the pivot b of the later row b + c, so only an
+    # in-order pass takes a to the pivot-free remainder c.
+    a, b, c = (LinkExpr.atom(Atom(name, 0)) for name in "abc")
+    system = cones._LinearSystem()
+    for expr in (a + b, b + c):
+        system.add(expr)
+    assert [pivot for pivot, _ in system.rows] == [((), Atom("a", 0)), ((), Atom("b", 0))]
+    assert system.reduce(a) == _back_eliminated_remainder([a + b, b + c], a) == dict(c.terms)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("rate", [-4, -3, Fraction(-5, 2), -2, Fraction(1, 3), -7])
+def test_first_order_system_is_echelon(monkeypatch, parity, rate):
+    added = []
+
+    class Recorded(cones._LinearSystem):
+        def add(self, expr: LinkExpr) -> None:
+            added.append(expr)
+            super().add(expr)
+
+    monkeypatch.setattr(cones, "_LinearSystem", Recorded)
+    atoms = cones._parity_atoms(parity)
+    rules = Relations()
+    equations, _ = cones._promote_single_monomials(
+        cones._first_order_equations(Scalar(rate), atoms, rules), rules
+    )
+    system = cones._first_order_system(equations, rules)
+    assert len(added) > len(equations)  # the d and d* prolongations too
+    pivots = [pivot for pivot, _ in system.rows]
+    for i, (pivot, row) in enumerate(system.rows):
+        assert row[pivot] == Scalar(1)
+        assert not set(pivots[:i]) & row.keys()
+    for expr in added:
+        assert system.reduce(expr) == {}
+    for atom in atoms.values():
+        laplacian = laplacian_link(LinkExpr.atom(atom), rules)
+        assert system.reduce(laplacian) == _back_eliminated_remainder(added, laplacian)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
