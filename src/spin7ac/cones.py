@@ -32,8 +32,8 @@ from typing import Iterable, Mapping
 from .errors import InputError
 from .linkexpr import (
     EMPTY_RELATIONS,
+    HARMONIC,
     Atom,
-    Duality,
     LinkExpr,
     Relations,
     Word,
@@ -225,7 +225,7 @@ def psi_cone(declare_nearly_parallel: bool = True) -> tuple[HomogeneousConeForm,
     phi = Atom("phi", 3)
     rules = Relations()
     if declare_nearly_parallel:
-        rules.declare_nearly_parallel(phi, 4)
+        rules.declare_duality(phi, 4)
     expr = LinkExpr.atom(phi)
     gamma = HomogeneousConeForm.build(
         0, {4: (expr, star_link(expr, rules))}
@@ -245,27 +245,13 @@ class AsdClosedCondition:
     harmonic: bool
     coefficient: Scalar | None
 
-    def equation_text(self) -> str:
-        if self.harmonic:
-            return "alpha harmonic"
-        return f"d_Sigma alpha = ({self.coefficient}) *_Sigma alpha"
-
     def relations_for(self, alpha: Atom) -> Relations:
         rules = Relations()
         if self.harmonic:
-            rules.harmonic.add(alpha.name)
+            rules.kill(alpha.name, HARMONIC)
         else:
-            assert self.coefficient is not None
-            rules.duality[alpha.name] = Duality(self.coefficient, alpha)
+            rules.declare_duality(alpha, self.coefficient)
         return rules
-
-    def to_json(self) -> dict:
-        return {
-            "rate": self.rate.to_json(),
-            "harmonic": self.harmonic,
-            "coefficient": None if self.coefficient is None else self.coefficient.to_json(),
-            "equation": self.equation_text(),
-        }
 
 
 def asd_closed_condition(lam: Scalar | int) -> AsdClosedCondition:
@@ -414,16 +400,8 @@ def _promote_single_monomials(
         if eq.is_zero():
             continue
         if len(eq.terms) == 1:
-            ((word, atom),) = eq.terms.keys()
-            if word:
-                key = (tuple(reversed(word)), atom)
-                if key not in rules.monomial_zeros:
-                    rules.monomial_zeros.add(key)
-                    changed = True
-            else:
-                if atom.name not in rules.zero:
-                    rules.zero.add(atom.name)
-                    changed = True
+            ((word, atom),) = eq.terms
+            changed |= rules.kill(atom.name, [tuple(reversed(word))])
             continue
         remaining.append(eq)
     return remaining, changed
@@ -455,11 +433,12 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     back-substitution.  Certifies the (even, -4) and (odd, -3) tables;
     at other rates stalled slots are reported as coupled, not guessed.
 
-    Stage 2 needs no pass cap.  A pass that changes anything settles a
-    slot for the first time, overrules a harmonic verdict (so each slot
-    changes at most twice), or promotes an equation to a kill rule (the
-    promotion drops it, and the equations never grow).  Each of these
-    happens finitely often, so some pass changes nothing and the loop ends.
+    Stage 2 needs no pass cap.  A pass repeats only when it added a kill
+    word; one that adds none saw the same rules throughout, and reads each
+    zero kill in the pass that added it, so another pass would settle
+    nothing.  Kill words come from verdicts (at most four per slot) and from
+    promotions (each drops an equation, and the equations never grow), so
+    some pass adds none and the loop ends.
     """
     lam = Scalar.coerce(lam)
     if not lam.is_rational():
@@ -489,12 +468,10 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
             sign = c.sign()
             if sign < 0:
                 verdicts[key] = SlotVerdict("forced-zero", "eigenvalue", c)
-                rules.zero.add(atom.name)
-                changed = True
+                changed |= rules.kill(atom.name, [()])
             elif sign == 0:
                 verdicts[key] = SlotVerdict("harmonic", coefficient=c)
-                rules.harmonic.add(atom.name)
-                changed = True
+                changed |= rules.kill(atom.name, HARMONIC)
 
         # Back-substitution: a first-order equation collapsing to c*x = 0,
         # which also overrules an earlier harmonic verdict.
@@ -502,9 +479,9 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
         changed |= promoted
         for key, atom in atoms.items():
             verdict = verdicts.get(key)
-            if atom.name in rules.zero and (verdict is None or verdict.status == "harmonic"):
+            zero = () in rules.kills.get(atom.name, ())
+            if zero and (verdict is None or verdict.status == "harmonic"):
                 verdicts[key] = SlotVerdict("forced-zero", "back-substitution")
-                changed = True
 
     # A slot no rule settled stalled on c > 0 or on its live coupling.
     for key, atom in atoms.items():

@@ -11,8 +11,9 @@ ever discretized; the calculus consists of the operator identities
 
     d d = 0,   t t = 0,   s s = Id,   t = (-1)^k s d s   on degree k,
 
-plus optional declared relations per atom (closed, co-closed, Laplace
-eigenform, duality d a = c * b).  The codifferential is eliminated via
+plus optional declared relations per atom: kill words (closed, co-closed,
+vanishing, or any prefix of operators), Laplace eigenvalues, and the
+duality d a = c * (s a).  The codifferential is eliminated via
 the bridge identity wherever the star is defined (degrees 1..7); it
 survives as a primitive letter only on the formal degrees 8 and 9, which
 the rate-classification engine carries through the recursion exactly as the
@@ -56,42 +57,39 @@ class Atom:
         return cls(str(obj["name"]), strict_int(obj["degree"], "atom degree"))
 
 
-@dataclass(frozen=True)
-class Duality:
-    """Declared relation d a = coeff * other."""
-
-    coeff: Scalar
-    other: Atom
+CLOSED: tuple[Word, ...] = (("d",),)
+# t stays primitive on degrees 8 and 9; on degrees 1..7 it is bridged to s d s
+COCLOSED: tuple[Word, ...] = (("t",), ("s", "d"))
+HARMONIC = CLOSED + COCLOSED  # compact link: harmonic is closed and co-closed
 
 
 @dataclass
 class Relations:
     """Declared relations for the named atoms of a computation.
 
-    ``monomial_zeros`` holds dynamically derived rules: an entry
-    (applied_prefix, atom) kills every word whose innermost operators
-    start with that prefix on that atom.  ``zero`` marks atoms proved to
-    vanish, ``harmonic`` atoms proved closed and co-closed (compact link:
-    a harmonic form is closed and co-closed).
+    ``kills[name]`` holds words written innermost-first: a word on that
+    atom vanishes when its innermost operators start with one of them, and
+    the empty word kills the atom itself.  ``eigen[name] = mu`` declares
+    Delta a = mu a, ``duality[name] = c`` declares d a = c * (s a).
     """
 
-    closed: set[str] = field(default_factory=set)
-    coclosed: set[str] = field(default_factory=set)
     eigen: dict[str, Scalar] = field(default_factory=dict)
-    duality: dict[str, Duality] = field(default_factory=dict)
-    zero: set[str] = field(default_factory=set)
-    harmonic: set[str] = field(default_factory=set)
-    monomial_zeros: set[tuple[Word, Atom]] = field(default_factory=set)
+    duality: dict[str, Scalar] = field(default_factory=dict)
+    kills: dict[str, set[Word]] = field(default_factory=dict)
 
-    def declare_nearly_parallel(self, phi: Atom, torsion: Scalar | int = 4) -> None:
-        """Declare d phi = torsion * (star phi), the nearly parallel relation."""
-        self.duality[phi.name] = Duality(Scalar.coerce(torsion), phi)
+    def kill(self, name: str, words: Iterable[Word]) -> bool:
+        """Kill the words on the named atom; True when one of them is new."""
+        known = self.kills.setdefault(name, set())
+        size = len(known)
+        known.update(words)
+        return len(known) > size
 
-    def is_closed(self, name: str) -> bool:
-        return name in self.closed or name in self.harmonic
-
-    def is_coclosed(self, name: str) -> bool:
-        return name in self.coclosed or name in self.harmonic
+    def declare_duality(self, atom: Atom, coeff: Scalar | int) -> None:
+        """Declare d a = coeff * (s a); for coeff != 0 also kill d s a = (1/coeff) d d a."""
+        coeff = Scalar.coerce(coeff)
+        self.duality[atom.name] = coeff
+        if not coeff.is_zero():
+            self.kill(atom.name, [("s", "d")])
 
 
 EMPTY_RELATIONS = Relations()
@@ -223,33 +221,17 @@ def _normalize_applied(
     depth: int,
 ) -> dict[tuple[Word, Atom], Scalar]:
     """Rule rewriting on a structurally reduced word (innermost-first list)."""
-    if atom.name in rules.zero:
-        return {}
-    for prefix, rule_atom in rules.monomial_zeros:
-        if atom == rule_atom and tuple(applied[: len(prefix)]) == prefix:
+    inner = tuple(applied)
+    for word in rules.kills.get(atom.name, ()):
+        if inner[: len(word)] == word:
             return {}
-    if applied:
-        if applied[0] == "d":
-            if rules.is_closed(atom.name):
-                return {}
-            dual = rules.duality.get(atom.name)
-            if dual is not None:
-                # d a -> c * (s other); re-run the remaining operators on top.
-                rest = list(reversed(applied[1:]))  # back to outermost-first
-                return _apply_ops(
-                    rest, ["s"], dual.other, coeff * dual.coeff, rules, depth + 1
-                )
-        if applied[0] == "t" and rules.is_coclosed(atom.name):
-            return {}
-        if len(applied) >= 2 and applied[0] == "s" and applied[1] == "d":
-            # d(s a) = 0 when a is co-closed (s injective) or when a is the
-            # star side of a declared duality (d s a = (1/c) d d a' = 0).
-            if rules.is_coclosed(atom.name):
-                return {}
-            for dual in rules.duality.values():
-                if dual.other == atom and not dual.coeff.is_zero():
-                    return {}
-        if len(applied) >= 4 and applied[:4] == ["d", "s", "d", "s"]:
+    if applied and applied[0] == "d":
+        c = rules.duality.get(atom.name)
+        if c is not None:
+            # d a -> c * (s a); re-run the remaining operators on top.
+            rest = list(reversed(applied[1:]))  # back to outermost-first
+            return _apply_ops(rest, ["s"], atom, coeff * c, rules, depth + 1)
+        if inner[:4] == ("d", "s", "d", "s"):
             mu = rules.eigen.get(atom.name)
             if mu is not None:
                 if atom.degree > 6:
@@ -273,8 +255,7 @@ def _normalize_applied(
                 for key, value in tail.items():
                     out[key] = out.get(key, ZERO) + value
                 return out
-    word = tuple(reversed(applied))
-    return {(word, atom): coeff}
+    return {(inner[::-1], atom): coeff}
 
 
 def _apply_ops(

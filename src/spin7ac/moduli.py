@@ -225,13 +225,6 @@ class ScalingCheck:
     valid: bool
     reason: str
 
-    def to_json(self) -> dict:
-        return {
-            "nu_metric": self.nu_metric.to_json(),
-            "valid": self.valid,
-            "reason": self.reason,
-        }
-
 
 def scaling_contribution(
     link: LinkData, nu_metric: Scalar | int | Fraction

@@ -22,7 +22,10 @@ from spin7ac.cones import (
 )
 from spin7ac.errors import InputError
 from spin7ac.linkexpr import (
+    CLOSED,
+    COCLOSED,
     EMPTY_RELATIONS,
+    HARMONIC,
     Atom,
     LinkExpr,
     Relations,
@@ -55,7 +58,8 @@ def random_mixed_form(rng: random.Random, degrees=range(0, 9)) -> HomogeneousCon
 def test_cone_d_examples():
     # closed pure beta at the degree where (lambda + k) = 0
     beta = Atom("b", 4)
-    rules = Relations(closed={"b"})
+    rules = Relations()
+    rules.kill("b", CLOSED)
     gamma = HomogeneousConeForm.build(-4, {4: (None, LinkExpr.atom(beta))})
     assert cone_d(gamma, rules).is_zero()
 
@@ -87,7 +91,8 @@ def test_cone_dstar_examples():
     assert out.slot(0, "alpha") is None
 
     # a co-closed beta at the rate where lambda + 8 - k = 0 dies entirely
-    rules = Relations(coclosed={"b"})
+    rules = Relations()
+    rules.kill("b", COCLOSED)
     gamma = HomogeneousConeForm.build(-6, {2: (None, LinkExpr.atom(beta))})
     assert cone_dstar(gamma, rules).is_zero()
 
@@ -521,3 +526,54 @@ def test_cone_operators_are_byte_identical_to_pin():
     assert any(line.startswith("cone_d ") and "d undefined on formal degree-9" in line for line in lines)
     assert any('"sqrt5"' in line for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CONE_OPERATOR_SHA256
+
+
+def _relation_rule_sets() -> list[tuple[str, Relations]]:
+    """One rule set per relation kind, on atom names that ``_pin_form`` draws."""
+    phi = Atom("phi", 3)
+    kinds = {
+        "closed": {name: CLOSED for name in ("phi", "b2", "a5")},
+        "coclosed": {name: COCLOSED for name in ("phi", "b4", "a3", "b8", "a9")},
+        "harmonic": {name: HARMONIC for name in ("phi", "b5", "a2", "b8")},
+        "zero": {name: [()] for name in ("b3", "a6", "a9")},
+        "prefix": {"b8": [("d",)], "a9": [("t", "d")]},  # both of degree 8
+    }
+    rule_sets = []
+    for tag, kills in kinds.items():
+        rules = Relations()
+        for name, words in kills.items():
+            rules.kill(name, words)
+        rule_sets.append((tag, rules))
+    eigen = {"b0": Scalar(2), "a2": Scalar(Fraction(5, 2)), "phi": Scalar(12),
+             "a5": Scalar(Fraction(7, 3), 1), "b6": Scalar(3)}
+    rule_sets.append(("eigen", Relations(eigen=eigen)))
+    for coeff in (4, 0):
+        rules = Relations()
+        rules.declare_duality(phi, coeff)
+        rule_sets.append((f"duality{coeff}", rules))
+    return rule_sets
+
+
+# sha256 of the four cone operators on 80 seeded random forms under each rule
+# set of _relation_rule_sets (closed, co-closed, harmonic, zero, a prefix
+# kill on degree-8 atoms, eigenvalues on degrees 0, 1, 3, 4 and 6, and
+# d phi = c * (s phi) for c = 4 and c = 0); recorded at ba10032, where the
+# same rule sets were written as the separate closed, coclosed, harmonic,
+# zero and monomial_zeros fields and the Duality record.
+_RELATIONS_SHA256 = "b20b983aa47d713a152c0e2716740868432e82ae91d557cbbaaa71ea306f4071"
+
+
+def test_cone_operators_under_relations_are_byte_identical_to_pin():
+    rng = random.Random(2909)
+    rule_sets = _relation_rule_sets()
+    lines = []
+    for _ in range(80):
+        g = _pin_form(rng)
+        for op in (cone_d, cone_star, cone_dstar, cone_laplacian):
+            for tag, rules in rule_sets:
+                try:
+                    out = json.dumps(op(g, rules).to_json(), sort_keys=True)
+                except InputError as exc:
+                    out = f"InputError: {exc}"
+                lines.append(f"{op.__name__} {tag} {out}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _RELATIONS_SHA256

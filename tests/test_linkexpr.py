@@ -6,6 +6,9 @@ import pytest
 
 from spin7ac.errors import InputError
 from spin7ac.linkexpr import (
+    CLOSED,
+    COCLOSED,
+    HARMONIC,
     Atom,
     LinkExpr,
     Relations,
@@ -61,14 +64,16 @@ def test_star_rejects_formal_degree_eight():
 
 
 def test_closed_relation():
-    rules = Relations(closed={"a"})
+    rules = Relations()
+    rules.kill("a", CLOSED)
     x = LinkExpr.atom(Atom("a", 2))
     assert d_link(x, rules).is_zero()
     assert not dstar_link(x, rules).is_zero()
 
 
 def test_coclosed_relation():
-    rules = Relations(coclosed={"a"})
+    rules = Relations()
+    rules.kill("a", COCLOSED)
     x = LinkExpr.atom(Atom("a", 2))
     assert dstar_link(x, rules).is_zero()
     assert not d_link(x, rules).is_zero()
@@ -77,7 +82,8 @@ def test_coclosed_relation():
 
 
 def test_harmonic_is_closed_and_coclosed():
-    rules = Relations(harmonic={"a"})
+    rules = Relations()
+    rules.kill("a", HARMONIC)
     x = LinkExpr.atom(Atom("a", 4))
     assert d_link(x, rules).is_zero()
     assert dstar_link(x, rules).is_zero()
@@ -106,7 +112,7 @@ def test_eigenform_relation_all_supported_degrees():
 def test_duality_relation():
     phi = Atom("phi", 3)
     rules = Relations()
-    rules.declare_nearly_parallel(phi, 4)
+    rules.declare_duality(phi, 4)
     x = LinkExpr.atom(phi)
     assert d_link(x, rules) == star_link(x, rules).scale(4)
     # derived consequences: d(*phi) = 0 and d*(phi) = 0 and d*(*phi) = 4 phi
@@ -116,7 +122,8 @@ def test_duality_relation():
 
 
 def test_zero_atom_rule():
-    rules = Relations(zero={"a"})
+    rules = Relations()
+    rules.kill("a", [()])
     x = LinkExpr.atom(Atom("a", 2)) + LinkExpr.atom(Atom("b", 2))
     n = normalize(x, rules)
     assert n == LinkExpr.atom(Atom("b", 2))
@@ -124,12 +131,44 @@ def test_zero_atom_rule():
 
 def test_monomial_zero_rule():
     beta8 = Atom("beta8", 8)
-    rules = Relations(monomial_zeros={(("d",), beta8)})
+    rules = Relations()
+    rules.kill("beta8", [("d",)])
     x = d_link(LinkExpr.atom(beta8), rules)
     assert x.is_zero()
     # longer words built on a killed monomial also die
     y = dstar_link(d_link(LinkExpr.atom(beta8), rules), rules)
     assert y.is_zero()
+
+
+def test_kill_reports_only_new_words():
+    rules = Relations()
+    assert rules.kill("a", CLOSED)
+    assert not rules.kill("a", CLOSED)
+    assert rules.kill("a", HARMONIC)  # adds the co-closed words
+    assert not rules.kill("a", COCLOSED + CLOSED)
+    assert not rules.kill("a", [])
+    assert rules.kill("b", [()])
+    assert rules.kills == {"a": set(HARMONIC), "b": {()}}
+
+
+def test_zero_duality_keeps_d_of_the_star():
+    # d a = 0 * (s a) says a is closed; it says nothing about d s a.
+    a = Atom("a", 3)
+    rules = Relations()
+    rules.declare_duality(a, 0)
+    x = LinkExpr.atom(a)
+    assert d_link(x, rules).is_zero()
+    assert d_link(star_link(x, rules), rules) == d_link(star_link(x))
+    assert not rules.kills
+
+
+def test_kill_words_are_keyed_by_name():
+    # the rule follows the atom's name whatever its degree
+    rules = Relations()
+    rules.kill("a", [("d",)])
+    for degree in (2, 5):
+        assert d_link(LinkExpr.atom(Atom("a", degree)), rules).is_zero()
+    assert not d_link(LinkExpr.atom(Atom("b", 2)), rules).is_zero()
 
 
 def test_linearity_and_equality():

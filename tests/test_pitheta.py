@@ -227,6 +227,53 @@ def test_newton_stops_at_roundoff(monkeypatch):
     assert pi_theta(eta).residual <= DEFAULT_TOL
 
 
+def _nan_after(first_calls: int, last_call: float = math.inf):
+    """exp_action, but NaN on the calls numbered first_calls + 1 .. last_call."""
+    calls = []
+
+    def patched(d, v):
+        calls.append(d)
+        if first_calls < len(calls) <= last_call:
+            return np.full_like(v, np.nan)
+        return exp_action(d, v)
+
+    return patched, calls
+
+
+def test_newton_reports_iteration_limit(monkeypatch):
+    monkeypatch.setattr(pitheta, "MAX_ITERATIONS", 1)
+    with pytest.raises(InputError) as info:
+        pi_theta(random_asd(np.random.default_rng(111), 0.05), tol=1e-14)
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("Newton did not reach tol 1.000e-14: residual ")
+    assert message.endswith(f"after 1 iterations ({pitheta._NOT_REACHED})")
+
+
+def test_newton_reports_stalled_backtracking(monkeypatch):
+    # every trial point is NaN: the step halves from 1 down past 1e-4
+    patched, calls = _nan_after(1)
+    monkeypatch.setattr(pitheta, "exp_action", patched)
+    with pytest.raises(InputError) as info:
+        pi_theta(random_asd(np.random.default_rng(112), 0.05))
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("Newton backtracking stalled at residual ")
+    assert message.endswith(f"> tol {DEFAULT_TOL:.3e} ({pitheta._NOT_REACHED})")
+    assert len(calls) == 15  # the start, then trial steps 1, 1/2, ..., 2**-13
+
+
+def test_newton_halves_a_rejected_step(monkeypatch):
+    eta = random_asd(np.random.default_rng(113), 0.05)
+    plain = pi_theta(eta)
+    patched, calls = _nan_after(1, last_call=2)  # only the first trial is NaN
+    monkeypatch.setattr(pitheta, "exp_action", patched)
+    result = pi_theta(eta)
+    assert result.residual <= DEFAULT_TOL
+    assert len(calls) == result.iterations + 2  # one extra trial: the halved step
+    assert np.linalg.norm(result.zeta - plain.zeta) < 1e-12
+
+
 def _gl8_derivations() -> np.ndarray:
     """rho(E_ij) on Lambda^4 as a (64, 70, 70) array, row-major over (i, j)."""
     out = np.zeros((64, 70, 70))
