@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .linkexpr import (
     EMPTY_RELATIONS,
     HARMONIC,
@@ -37,14 +38,14 @@ from .linkexpr import (
     LinkExpr,
     Relations,
     Word,
+    apply_operator,
     d_link,
     dstar_link,
     laplacian_link,
-    normalize,
     star_link,
 )
 from .moduli import Rate, indicial_roots
-from .scalars import ZERO, Scalar, strict_int
+from .scalars import ONE, ZERO, Scalar, strict_int
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,6 @@ class AsdClosedCondition:
     at lambda = -4 it degenerates to: alpha harmonic.
     """
 
-    rate: Scalar
     harmonic: bool
     coefficient: Scalar | None
 
@@ -257,8 +257,8 @@ class AsdClosedCondition:
 def asd_closed_condition(lam: Scalar | int) -> AsdClosedCondition:
     lam = Scalar.coerce(lam)
     if lam == -4:
-        return AsdClosedCondition(rate=lam, harmonic=True, coefficient=None)
-    return AsdClosedCondition(rate=lam, harmonic=False, coefficient=-(lam + 4))
+        return AsdClosedCondition(harmonic=True, coefficient=None)
+    return AsdClosedCondition(harmonic=False, coefficient=-(lam + 4))
 
 
 def asd_form(alpha: Atom, lam: Scalar | int, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
@@ -316,6 +316,8 @@ class RateClassification:
 
 
 Monomial = tuple[Word, Atom]
+_Terms = dict[Monomial, Scalar]
+_Equation = tuple[int, _Terms]  # (link degree, terms)
 
 
 def _deriv_count(word: Word) -> int:
@@ -338,17 +340,17 @@ class _LinearSystem:
     """
 
     def __init__(self) -> None:
-        self.rows: list[tuple[Monomial, dict[Monomial, Scalar]]] = []
+        self.rows: list[tuple[Monomial, _Terms]] = []
 
-    def add(self, expr: LinkExpr) -> None:
-        vec = self.reduce(expr)
+    def add(self, terms: _Terms) -> None:
+        vec = self.reduce(terms)
         if vec:
             pivot = min(vec, key=_monomial_rank)
             inv = vec[pivot].inverse()
             self.rows.append((pivot, {m: c * inv for m, c in vec.items()}))
 
-    def reduce(self, expr: LinkExpr) -> dict[Monomial, Scalar]:
-        vec = dict(expr.terms)
+    def reduce(self, terms: _Terms) -> _Terms:
+        vec = dict(terms)
         for pivot, row in self.rows:
             factor = vec.get(pivot)
             if factor is None:
@@ -377,47 +379,128 @@ def _parity_atoms(parity: str) -> dict[SlotKey, Atom]:
     return atoms
 
 
-def _first_order_equations(
-    lam: Scalar, atoms: dict[SlotKey, Atom], rules: Relations
-) -> list[LinkExpr]:
-    """Per-slot components of (d + d*)gamma = 0 for the generic form on the atoms."""
+def _generic_equations(atoms: dict[SlotKey, Atom], lam: Scalar) -> dict[tuple[int, int], _Terms]:
+    """Per-slot terms of (d + d*)gamma for the generic form on the atoms.
+
+    Keyed (k, i) for cone degree k and i = 0 (dr slot, link degree k - 1)
+    or 1 (tangential slot, link degree k); zero slots are left out.
+    """
     gamma = _sum_parts(lam, [
         (k + 1, LinkExpr.atom(atom), None) if slot == "alpha" else (k, None, LinkExpr.atom(atom))
         for (k, slot), atom in atoms.items()
     ])
-    total = cone_d(gamma, rules) + cone_dstar(gamma, rules)
-    return [x for _, pair in sorted(total.components.items()) for x in pair if x is not None]
+    total = cone_d(gamma) + cone_dstar(gamma)
+    return {(k, i): x.terms for k, pair in total.components.items() for i, x in enumerate(pair) if x is not None}
 
 
-def _promote_single_monomials(
-    equations: list[LinkExpr], rules: Relations
-) -> tuple[list[LinkExpr], bool]:
-    """Turn single-monomial equations into kill rules; renormalize the rest."""
+_Affine = tuple[tuple[int, tuple[tuple[Monomial, Scalar, Scalar], ...]], ...]
+
+
+def _equations_at(affine: _Affine, lam: Scalar) -> list[_Equation]:
+    """The first-order equations at lam, zero terms and zero equations left out."""
+    out = []
+    for degree, coefficients in affine:
+        terms = {}
+        for m, c0, c1 in coefficients:
+            c = c0 + lam * c1
+            if not c.is_zero():
+                terms[m] = c
+        if terms:
+            out.append((degree, terms))
+    return out
+
+
+@lru_cache(maxsize=2)
+def _skeleton(parity: str) -> tuple[dict[SlotKey, Atom], _Affine]:
+    """What the classifications of one parity share at every rate.
+
+    The parity's atoms, and each slot's first-order equation in slot order
+    as (link degree, ((monomial, c0, c1), ...)): at rate lambda a coefficient
+    is c0 + lambda * c1.  cone_d and cone_dstar are affine in the rate, so
+    rates 0 and 1 fix every coefficient; a third rate checks the
+    interpolation against a direct build.
+    """
+    atoms = _parity_atoms(parity)
+    at0, at1 = _generic_equations(atoms, ZERO), _generic_equations(atoms, ONE)
+    equations = []
+    for k, i in sorted(at0.keys() | at1.keys()):
+        t0, t1 = at0.get((k, i), {}), at1.get((k, i), {})
+        coefficients = tuple((m, t0.get(m, ZERO), t1.get(m, ZERO) - t0.get(m, ZERO)) for m in {**t0, **t1})
+        equations.append((k - 1 + i, coefficients))
+    affine = tuple(equations)
+    check = Scalar(Fraction(1, 2))
+    direct = [(k - 1 + i, terms) for (k, i), terms in sorted(_generic_equations(atoms, check).items())]
+    if _equations_at(affine, check) != direct:
+        raise InternalCheckError(f"the {parity} first-order equations are not affine in the rate")
+    return atoms, affine
+
+
+@lru_cache(maxsize=None)
+def _image(op: str, word: Word, atom: Atom) -> tuple[Word, int] | None:
+    """op on the monomial (word, atom) by the structural rules alone: (word', +-1), or None for 0.
+
+    Only classify_rate calls it, on the finitely many monomials that the two
+    skeletons reach (92 keys), so the cache needs no bound.
+    """
+    for (image, _), coeff in apply_operator(LinkExpr.monomial(word, atom), op).terms.items():
+        return image, coeff.sign()
+    return None
+
+
+def _filtered(terms: _Terms, rules: Relations) -> _Terms:
+    """The terms whose words no kill rule matches: ``normalize`` of canonical words."""
+    return {m: c for m, c in terms.items() if not rules.killed(m[1].name, m[0][::-1])}
+
+
+def _apply(op: str, terms: _Terms, rules: Relations) -> _Terms:
+    """``apply_operator`` under kill-only rules: each term's image, then the kill filter."""
+    out: _Terms = {}
+    for (word, atom), c in terms.items():
+        image = _image(op, word, atom)
+        if image is None or rules.killed(atom.name, image[0][::-1]):
+            continue
+        m = (image[0], atom)
+        value = c if image[1] > 0 else -c
+        out[m] = out[m] + value if m in out else value
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _laplacian(atom: Atom, rules: Relations) -> _Terms:
+    """``laplacian_link`` of the atom under kill-only rules: d t + t d."""
+    x = {((), atom): ONE}
+    out = _apply("d", _apply("t", x, rules), rules)
+    for m, c in _apply("t", _apply("d", x, rules), rules).items():
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _promote(equations: list[_Equation], rules: Relations) -> tuple[list[_Equation], bool]:
+    """Turn single-monomial equations into kill rules; filter the rest by the kills."""
     changed = False
-    remaining: list[LinkExpr] = []
-    for eq in equations:
-        eq = normalize(eq, rules)
-        if eq.is_zero():
-            continue
-        if len(eq.terms) == 1:
-            ((word, atom),) = eq.terms
-            changed |= rules.kill(atom.name, [tuple(reversed(word))])
-            continue
-        remaining.append(eq)
+    remaining: list[_Equation] = []
+    for degree, terms in equations:
+        terms = _filtered(terms, rules)
+        if len(terms) == 1:
+            ((word, atom),) = terms
+            changed |= rules.kill(atom.name, [word[::-1]])
+        elif terms:
+            remaining.append((degree, terms))
     return remaining, changed
 
 
-def _first_order_system(equations: list[LinkExpr], rules: Relations) -> _LinearSystem:
-    """The first-order equations with their d and d* prolongations, eliminated."""
+def _first_order(affine: _Affine, lam: Scalar, rules: Relations) -> tuple[list[_Equation], _LinearSystem]:
+    """The promoted first-order equations at lam, and one elimination of them
+    with their d and d* prolongations."""
+    equations, _ = _promote(_equations_at(affine, lam), rules)
     system = _LinearSystem()
-    for eq in equations:
-        system.add(eq)
-    for eq in equations:
-        if eq.degree <= 8:
-            system.add(d_link(eq, rules))
-        if 1 <= eq.degree <= 8:
-            system.add(dstar_link(eq, rules))
-    return system
+    for _, terms in equations:
+        system.add(terms)
+    for degree, terms in equations:
+        if degree <= 8:
+            system.add(_apply("d", terms, rules))
+        if 1 <= degree <= 8:
+            system.add(_apply("t", terms, rules))
+    return equations, system
 
 
 def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
@@ -433,6 +516,16 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     back-substitution.  Certifies the (even, -4) and (odd, -3) tables;
     at other rates stalled slots are reported as coupled, not guessed.
 
+    What does not depend on lambda is built once per parity and process
+    (``_skeleton``): the atoms and the first-order equations with affine
+    coefficients.  A call evaluates those at lambda, then works on term
+    dicts.  Its relations only ever hold kill words, never eigenvalues or
+    dualities, so rewriting a term under them is its structural reduction
+    followed by the kill test; ``_image`` memoizes the reduction of each
+    (operator, word, atom) once, and the call applies the kill filter
+    after each operator, exactly where ``apply_operator`` and
+    ``normalize`` would.
+
     Stage 2 needs no pass cap.  A pass repeats only when it added a kill
     word; one that adds none saw the same rules throughout, and reads each
     zero kill in the pass that added it, so another pass would settle
@@ -443,19 +536,17 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     lam = Scalar.coerce(lam)
     if not lam.is_rational():
         raise InputError("classification rates must be rational")
-    atoms = _parity_atoms(parity)
+    atoms, affine = _skeleton(parity)
     rules = Relations()
     verdicts: dict[SlotKey, SlotVerdict] = {}
 
-    equations, _ = _promote_single_monomials(_first_order_equations(lam, atoms, rules), rules)
-
     # Stage 1: frozen second-order relations, modulo one first-order system.
-    system = _first_order_system(equations, rules)
-    frozen: dict[SlotKey, tuple[Scalar, LinkExpr]] = {}
+    equations, system = _first_order(affine, lam, rules)
+    frozen: dict[SlotKey, tuple[Scalar, _Terms]] = {}
     for key, atom in atoms.items():
-        reduced = system.reduce(laplacian_link(LinkExpr.atom(atom), rules))
+        reduced = system.reduce(_laplacian(atom, rules))
         c = reduced.pop(((), atom), ZERO)
-        frozen[key] = (c, LinkExpr(atom.degree, reduced))
+        frozen[key] = (c, reduced)
 
     # Stage 2: propagation to a fixed point (see the docstring for why it ends).
     changed = True
@@ -463,7 +554,7 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
         changed = False
         for key, atom in atoms.items():
             c, coupling = frozen[key]
-            if key in verdicts or not normalize(coupling, rules).is_zero():
+            if key in verdicts or _filtered(coupling, rules):
                 continue
             sign = c.sign()
             if sign < 0:
@@ -475,7 +566,7 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
 
         # Back-substitution: a first-order equation collapsing to c*x = 0,
         # which also overrules an earlier harmonic verdict.
-        equations, promoted = _promote_single_monomials(equations, rules)
+        equations, promoted = _promote(equations, rules)
         changed |= promoted
         for key, atom in atoms.items():
             verdict = verdicts.get(key)
@@ -487,7 +578,7 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     for key, atom in atoms.items():
         if key not in verdicts:
             c, coupling = frozen[key]
-            live = normalize(coupling, rules)
+            live = LinkExpr(atom.degree, _filtered(coupling, rules))
             if live.is_zero():
                 detail = f"Delta {atom.name} = ({c}) {atom.name}, c > 0"
             else:

@@ -40,7 +40,11 @@ _MAX_REWRITE_DEPTH = 60
 
 @dataclass(frozen=True, order=True)
 class Atom:
-    """A named abstract link form with a declared degree."""
+    """A named abstract link form with a declared degree.
+
+    Atoms key every term dict of the calculus, so the hash of (name, degree)
+    is computed once here rather than on every lookup.
+    """
 
     name: str
     degree: int
@@ -48,6 +52,10 @@ class Atom:
     def __post_init__(self) -> None:
         if not 0 <= self.degree <= 8:
             raise InputError(f"atom degree {self.degree} out of range 0..8")
+        object.__setattr__(self, "_hash", hash((self.name, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_json(self) -> dict:
         return {"name": self.name, "degree": self.degree}
@@ -83,6 +91,10 @@ class Relations:
         size = len(known)
         known.update(words)
         return len(known) > size
+
+    def killed(self, name: str, inner: Word) -> bool:
+        """Whether the word ``inner`` (innermost-first) dies on the named atom."""
+        return any(inner[: len(word)] == word for word in self.kills.get(name, ()))
 
     def declare_duality(self, atom: Atom, coeff: Scalar | int) -> None:
         """Declare d a = coeff * (s a); for coeff != 0 also kill d s a = (1/coeff) d d a."""
@@ -138,6 +150,11 @@ class LinkExpr:
     @classmethod
     def atom(cls, atom: Atom) -> "LinkExpr":
         return cls(atom.degree, {((), atom): ONE})
+
+    @classmethod
+    def monomial(cls, word: Word, atom: Atom) -> "LinkExpr":
+        """The word (outermost-first) applied to the atom, coefficient 1."""
+        return cls(_word_degree(reversed(word), atom.degree), {(word, atom): ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -222,9 +239,8 @@ def _normalize_applied(
 ) -> dict[tuple[Word, Atom], Scalar]:
     """Rule rewriting on a structurally reduced word (innermost-first list)."""
     inner = tuple(applied)
-    for word in rules.kills.get(atom.name, ()):
-        if inner[: len(word)] == word:
-            return {}
+    if rules.killed(atom.name, inner):
+        return {}
     if applied and applied[0] == "d":
         c = rules.duality.get(atom.name)
         if c is not None:

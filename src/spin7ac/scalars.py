@@ -186,6 +186,9 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
         a, b, c, d = self._a, self._b, self._c, self._d
+        if not (b or c or d):
+            # self = a/den with gcd(a, den) = 1, so 1/self = den/a; the sign moves up.
+            return _canonical(-self._den if a < 0 else self._den, 0, 0, 0, abs(a))
         # Product of the three nontrivial Galois conjugates of the numerator x.
         cofactor = _canonical(a, -b, c, -d, 1) * _canonical(a, b, -c, -d, 1)
         cofactor = cofactor * _canonical(a, -b, -c, d, 1)

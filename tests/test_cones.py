@@ -20,7 +20,8 @@ from spin7ac.cones import (
     one_form_critical_rates,
     psi_cone,
 )
-from spin7ac.errors import InputError
+from spin7ac import linkexpr
+from spin7ac.errors import InputError, InternalCheckError
 from spin7ac.linkexpr import (
     CLOSED,
     COCLOSED,
@@ -29,9 +30,11 @@ from spin7ac.linkexpr import (
     Atom,
     LinkExpr,
     Relations,
+    apply_operator,
     d_link,
     dstar_link,
     laplacian_link,
+    normalize,
     star_link,
 )
 from spin7ac.scalars import ZERO, Scalar
@@ -335,8 +338,9 @@ def test_classification_sweep_is_byte_identical_to_pin():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_SWEEP_SHA256
 
 
-def _back_eliminated_remainder(exprs, target):
-    """Reference remainder: rows fully back-eliminated, pivots picked as in cones."""
+def _back_eliminated_remainder(vecs, target):
+    """Reference remainder of the term dict target: rows of the term dicts
+    vecs fully back-eliminated, pivots picked as in cones."""
     rows = {}  # pivot -> row normalised at it, holding no other pivot
 
     def sub(vec, row, factor):
@@ -349,8 +353,8 @@ def _back_eliminated_remainder(exprs, target):
                 vec = sub(vec, row, vec[pivot])
         return vec
 
-    for expr in exprs:
-        vec = reduce(dict(expr.terms))
+    for vec in vecs:
+        vec = reduce(dict(vec))
         if vec:
             pivot = min(vec, key=cones._monomial_rank)
             vec = {m: c / vec[pivot] for m, c in vec.items()}
@@ -358,7 +362,7 @@ def _back_eliminated_remainder(exprs, target):
                 if pivot in row:
                     rows[other] = sub(row, vec, row[pivot])
             rows[pivot] = vec
-    return reduce(dict(target.terms))
+    return reduce(dict(target))
 
 
 def test_linear_system_reduces_past_later_pivots():
@@ -367,9 +371,9 @@ def test_linear_system_reduces_past_later_pivots():
     a, b, c = (LinkExpr.atom(Atom(name, 0)) for name in "abc")
     system = cones._LinearSystem()
     for expr in (a + b, b + c):
-        system.add(expr)
+        system.add(expr.terms)
     assert [pivot for pivot, _ in system.rows] == [((), Atom("a", 0)), ((), Atom("b", 0))]
-    assert system.reduce(a) == _back_eliminated_remainder([a + b, b + c], a) == dict(c.terms)
+    assert system.reduce(a.terms) == _back_eliminated_remainder([(a + b).terms, (b + c).terms], a.terms) == dict(c.terms)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -378,27 +382,24 @@ def test_first_order_system_is_echelon(monkeypatch, parity, rate):
     added = []
 
     class Recorded(cones._LinearSystem):
-        def add(self, expr: LinkExpr) -> None:
-            added.append(expr)
-            super().add(expr)
+        def add(self, terms) -> None:
+            added.append(dict(terms))
+            super().add(terms)
 
     monkeypatch.setattr(cones, "_LinearSystem", Recorded)
-    atoms = cones._parity_atoms(parity)
+    atoms, affine = cones._skeleton(parity)
     rules = Relations()
-    equations, _ = cones._promote_single_monomials(
-        cones._first_order_equations(Scalar(rate), atoms, rules), rules
-    )
-    system = cones._first_order_system(equations, rules)
+    equations, system = cones._first_order(affine, Scalar(rate), rules)
     assert len(added) > len(equations)  # the d and d* prolongations too
     pivots = [pivot for pivot, _ in system.rows]
     for i, (pivot, row) in enumerate(system.rows):
         assert row[pivot] == Scalar(1)
         assert not set(pivots[:i]) & row.keys()
-    for expr in added:
-        assert system.reduce(expr) == {}
+    for terms in added:
+        assert system.reduce(terms) == {}
     for atom in atoms.values():
         laplacian = laplacian_link(LinkExpr.atom(atom), rules)
-        assert system.reduce(laplacian) == _back_eliminated_remainder(added, laplacian)
+        assert system.reduce(laplacian.terms) == _back_eliminated_remainder(added, laplacian.terms)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -415,6 +416,94 @@ def test_classification_builds_one_linear_system(monkeypatch, parity):
         built.clear()
         classify_rate(parity, rate)
         assert len(built) == 1
+
+
+def _reachable_monomials(atoms, length=3):
+    """Every canonical monomial of at most ``length`` operators on the atoms, by degree."""
+    by_degree = {}
+    frontier = [LinkExpr.atom(atom) for atom in atoms]
+    for step in range(length + 1):
+        following = []
+        for expr in frontier:
+            ((monomial, _),) = expr.terms.items()
+            by_degree.setdefault(expr.degree, set()).add(monomial)
+            if step == length:
+                continue
+            for op, ok in (("d", expr.degree <= 8), ("s", expr.degree <= 7), ("t", expr.degree >= 1)):
+                image = apply_operator(expr, op) if ok else LinkExpr.zero(0)
+                if not image.is_zero():
+                    following.append(image)
+        frontier = following
+    return {degree: sorted(monomials) for degree, monomials in by_degree.items()}
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_filtered_images_match_apply_operator(parity):
+    atoms = list(cones._parity_atoms(parity).values())
+    by_degree = _reachable_monomials(atoms)
+    whole_words = [word[::-1] for monomials in by_degree.values() for word, _ in monomials if word]
+    rng = random.Random(30 if parity == "even" else 31)
+    for _ in range(300):
+        rules = Relations()
+        for atom in rng.sample(atoms, rng.randint(0, len(atoms))):
+            rules.kill(atom.name, rng.choice([[()], CLOSED, COCLOSED, HARMONIC, rng.sample(whole_words, 2)]))
+        degree = rng.choice(sorted(by_degree))
+        monomials = by_degree[degree]
+        picked = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        expr = LinkExpr(degree, {m: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for m in picked})
+        assert cones._filtered(expr.terms, rules) == normalize(expr, rules).terms
+        for op in ("d", "t"):
+            if (op == "d" and degree <= 8) or (op == "t" and degree >= 1):
+                assert cones._apply(op, expr.terms, rules) == apply_operator(expr, op, rules).terms
+        for atom in atoms:
+            assert cones._laplacian(atom, rules) == laplacian_link(LinkExpr.atom(atom), rules).terms
+
+
+def test_skeleton_refuses_rate_laws_that_are_not_affine(monkeypatch):
+    original = cones.cone_dstar
+
+    def squared(g, rules=EMPTY_RELATIONS):
+        # cone_dstar at rate lambda^2: the same at rates 0 and 1 only
+        out = original(HomogeneousConeForm(g.rate * g.rate, g.components), rules)
+        return HomogeneousConeForm(g.rate - 1, out.components)
+
+    monkeypatch.setattr(cones, "cone_dstar", squared)
+    cones._skeleton.cache_clear()
+    cones._image.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError):
+            cones._skeleton("even")
+        assert cones._skeleton.cache_info().currsize == 0
+    finally:
+        cones._skeleton.cache_clear()
+        cones._image.cache_clear()
+
+
+def test_warm_classifications_make_no_rewrites(monkeypatch):
+    for parity in ("even", "odd"):
+        classify_rate(parity, Fraction(-7, 3))
+    calls = []
+    original = linkexpr._rewrite
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linkexpr, "_rewrite", counted)
+    rates = sorted({Fraction(k, q) for q in range(1, 7) for k in range(-6 * q + 1, 1)})
+    for parity in ("even", "odd"):
+        for rate in rates:
+            classify_rate(parity, rate)
+    assert len(rates) == 72 and calls == []
+    assert cones._skeleton.cache_info().currsize == 2
+    skeleton, images = cones._skeleton.cache_info(), cones._image.cache_info()
+    with pytest.raises(InputError):
+        classify_rate("mixed", -4)
+    assert cones._image.cache_info() == images
+    assert cones._skeleton.cache_info().currsize == 2
+    cones._skeleton("even")
+    cones._skeleton("odd")
+    assert cones._skeleton.cache_info().hits == skeleton.hits + 2  # both parities stayed cached
 
 
 def test_one_form_critical_rates():

@@ -202,3 +202,13 @@ def test_json_canonicalizes_unreduced_words():
     }
     expr = LinkExpr.from_json(payload)
     assert expr == LinkExpr.atom(Atom("a", 3)).scale(2)
+
+
+def test_atom_hash_agrees_with_equality():
+    a, again = Atom("alpha3", 3), Atom("alpha" + "3", 3)
+    assert a == again and hash(a) == hash(again)
+    assert a != Atom("alpha3", 4) and Atom("a", 0) < Atom("a", 1) < Atom("b", 0)
+    assert repr(a) == "Atom(name='alpha3', degree=3)"
+    terms = {(("d", "s"), a): "x"}
+    assert terms[(("d",) + ("s",), Atom("alpha3", 3))] == "x"
+    assert (("d", "s"), Atom("alpha3", 4)) not in terms

@@ -247,3 +247,16 @@ def test_traced_scalar_methods_are_plain_functions():
     assert len(layertrace._SCALAR_METHODS) == 17
     for name in layertrace._SCALAR_METHODS:
         assert inspect.isfunction(vars(Scalar).get(name)), name
+
+
+def test_rational_inverse_is_canonical():
+    """Rationals invert as den/a with the sign on the numerator, canonical as any result."""
+    rng = random.Random(15)
+    for _ in range(500):
+        span = rng.choice((12, 10**6, 10**40))
+        x = Scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, span), rng.randint(1, span)))
+        inv = x.inverse()
+        assert x * inv == Scalar(1)
+        a, b, c, d, den = fields(inv)
+        assert (b, c, d) == (0, 0, 0) and den > 0 and math.gcd(a, den) == 1
+        assert inv == Scalar(1 / x.a)
