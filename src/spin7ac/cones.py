@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .linkexpr import (
@@ -45,7 +45,8 @@ from .linkexpr import (
     star_link,
 )
 from .moduli import Rate, indicial_roots
-from .scalars import ONE, ZERO, Scalar, strict_int
+from .ratmat import Echelon as _LinearSystem
+from .scalars import ZERO, Scalar, _canonical, strict_int
 
 
 @dataclass(frozen=True)
@@ -316,52 +317,15 @@ class RateClassification:
 
 
 Monomial = tuple[Word, Atom]
-_Terms = dict[Monomial, Scalar]
-_Equation = tuple[int, _Terms]  # (link degree, terms)
-
-
-def _deriv_count(word: Word) -> int:
-    return sum(1 for op in word if op in ("d", "t"))
+_Row = dict[int, int]  # column -> nonzero integer coefficient
+_Equation = tuple[int, _Row]  # (link degree, row)
 
 
 def _monomial_rank(m: Monomial):
     word, atom = m
     # Elimination priority: second-order words, then codifferential words,
     # then derivative words, then bare atoms; deterministic tie-breaks.
-    return (-_deriv_count(word), -len(word), word, atom.name)
-
-
-class _LinearSystem:
-    """Echelon rows over the (word, atom) monomial basis.
-
-    Each row is normalised at its pivot and holds no pivot of an earlier
-    row, so one in-order pass of ``reduce`` leaves no pivot monomial; that
-    remainder is unique for the span and its pivots.
-    """
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[Monomial, _Terms]] = []
-
-    def add(self, terms: _Terms) -> None:
-        vec = self.reduce(terms)
-        if vec:
-            pivot = min(vec, key=_monomial_rank)
-            inv = vec[pivot].inverse()
-            self.rows.append((pivot, {m: c * inv for m, c in vec.items()}))
-
-    def reduce(self, terms: _Terms) -> _Terms:
-        vec = dict(terms)
-        for pivot, row in self.rows:
-            factor = vec.get(pivot)
-            if factor is None:
-                continue
-            for m, c in row.items():
-                new = vec.get(m, ZERO) - factor * c
-                if new.is_zero():
-                    vec.pop(m, None)
-                else:
-                    vec[m] = new
-        return vec
+    return (-sum(op in ("d", "t") for op in word), -len(word), word, atom.name)
 
 
 def _parity_atoms(parity: str) -> dict[SlotKey, Atom]:
@@ -379,7 +343,7 @@ def _parity_atoms(parity: str) -> dict[SlotKey, Atom]:
     return atoms
 
 
-def _generic_equations(atoms: dict[SlotKey, Atom], lam: Scalar) -> dict[tuple[int, int], _Terms]:
+def _generic_equations(atoms: dict[SlotKey, Atom], lam: Scalar) -> dict[tuple[int, int], dict[Monomial, Scalar]]:
     """Per-slot terms of (d + d*)gamma for the generic form on the atoms.
 
     Keyed (k, i) for cone degree k and i = 0 (dr slot, link degree k - 1)
@@ -393,114 +357,139 @@ def _generic_equations(atoms: dict[SlotKey, Atom], lam: Scalar) -> dict[tuple[in
     return {(k, i): x.terms for k, pair in total.components.items() for i, x in enumerate(pair) if x is not None}
 
 
-_Affine = tuple[tuple[int, tuple[tuple[Monomial, Scalar, Scalar], ...]], ...]
+class _Skeleton(NamedTuple):
+    """What the classifications of one parity share at every rate; see ``_skeleton``."""
+
+    atoms: dict[SlotKey, Atom]
+    columns: tuple[Monomial, ...]  # in _monomial_rank order: a pivot is the smallest column
+    index: dict[Monomial, int]  # the column of each monomial
+    kills: tuple[tuple[str, Word], ...]  # per column: (atom name, word innermost-first)
+    images: dict[str, dict[int, tuple[int, int] | None]]  # op -> column -> (column, +-1), None for 0
+    equations: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]  # (link degree, ((column, c0, c1), ...))
 
 
-def _equations_at(affine: _Affine, lam: Scalar) -> list[_Equation]:
-    """The first-order equations at lam, zero terms and zero equations left out."""
+def _equations_at(skeleton: _Skeleton, n: int, q: int) -> list[_Equation]:
+    """The first-order equations at lambda = n/q times q: c0 q + n c1 per column, zeros left out."""
     out = []
-    for degree, coefficients in affine:
-        terms = {}
-        for m, c0, c1 in coefficients:
-            c = c0 + lam * c1
-            if not c.is_zero():
-                terms[m] = c
-        if terms:
-            out.append((degree, terms))
+    for degree, coefficients in skeleton.equations:
+        row = {j: c for j, c0, c1 in coefficients if (c := c0 * q + n * c1)}
+        if row:
+            out.append((degree, row))
     return out
-
-
-@lru_cache(maxsize=2)
-def _skeleton(parity: str) -> tuple[dict[SlotKey, Atom], _Affine]:
-    """What the classifications of one parity share at every rate.
-
-    The parity's atoms, and each slot's first-order equation in slot order
-    as (link degree, ((monomial, c0, c1), ...)): at rate lambda a coefficient
-    is c0 + lambda * c1.  cone_d and cone_dstar are affine in the rate, so
-    rates 0 and 1 fix every coefficient; a third rate checks the
-    interpolation against a direct build.
-    """
-    atoms = _parity_atoms(parity)
-    at0, at1 = _generic_equations(atoms, ZERO), _generic_equations(atoms, ONE)
-    equations = []
-    for k, i in sorted(at0.keys() | at1.keys()):
-        t0, t1 = at0.get((k, i), {}), at1.get((k, i), {})
-        coefficients = tuple((m, t0.get(m, ZERO), t1.get(m, ZERO) - t0.get(m, ZERO)) for m in {**t0, **t1})
-        equations.append((k - 1 + i, coefficients))
-    affine = tuple(equations)
-    check = Scalar(Fraction(1, 2))
-    direct = [(k - 1 + i, terms) for (k, i), terms in sorted(_generic_equations(atoms, check).items())]
-    if _equations_at(affine, check) != direct:
-        raise InternalCheckError(f"the {parity} first-order equations are not affine in the rate")
-    return atoms, affine
 
 
 @lru_cache(maxsize=None)
 def _image(op: str, word: Word, atom: Atom) -> tuple[Word, int] | None:
     """op on the monomial (word, atom) by the structural rules alone: (word', +-1), or None for 0.
 
-    Only classify_rate calls it, on the finitely many monomials that the two
-    skeletons reach (92 keys), so the cache needs no bound.
+    Only ``_skeleton`` calls it, on the finitely many monomials of its column
+    tables, so the cache needs no bound.
     """
     for (image, _), coeff in apply_operator(LinkExpr.monomial(word, atom), op).terms.items():
         return image, coeff.sign()
     return None
 
 
-def _filtered(terms: _Terms, rules: Relations) -> _Terms:
-    """The terms whose words no kill rule matches: ``normalize`` of canonical words."""
-    return {m: c for m, c in terms.items() if not rules.killed(m[1].name, m[0][::-1])}
+@lru_cache(maxsize=2)
+def _skeleton(parity: str) -> _Skeleton:
+    """What the classifications of one parity share at every rate.
+
+    Columns: each atom and its words of one and two operators d, t (all the
+    Laplacians reach), in ``_monomial_rank`` order, with kill keys, and d, t
+    images for the atoms and their one-operator words, which hold every
+    equation term.  Each slot's first-order equation, in slot order, has
+    integer coefficients c0 + lambda * c1, read off the affine cone_d +
+    cone_dstar at rates 0 and 1 and checked against direct builds at 0, 1
+    and 1/2.  A term without images raises InternalCheckError.
+    """
+    atoms = _parity_atoms(parity)
+    level = [((), atom) for atom in atoms.values()]
+    reach: dict[Monomial, dict[str, tuple[Word, int] | None]] = {}
+    for _ in range(2):
+        reach.update((m, {op: _image(op, *m) for op in "dt"}) for m in level)
+        level = [(image[0], m[1]) for m in level for image in reach[m].values() if image]
+    columns = tuple(sorted(reach.keys() | set(level), key=_monomial_rank))
+    index = {m: j for j, m in enumerate(columns)}
+
+    def column(m: Monomial) -> int:
+        if m not in reach:
+            raise InternalCheckError(f"the {parity} column table has no images of {m[0]} {m[1].name}")
+        return index[m]
+
+    builds = {(n, q): sorted(_generic_equations(atoms, Scalar(Fraction(n, q))).items()) for n, q in ((0, 1), (1, 1), (1, 2))}
+    at0, at1 = dict(builds[0, 1]), dict(builds[1, 1])
+    equations = []
+    for k, i in sorted(at0.keys() | at1.keys()):
+        t0, t1 = at0.get((k, i), {}), at1.get((k, i), {})
+        c0 = {m: int(c.as_fraction()) for m, c in t0.items()}
+        equations.append((k - 1 + i, tuple(
+            (column(m), c0.get(m, 0), int(t1.get(m, ZERO).as_fraction()) - c0.get(m, 0)) for m in {**t0, **t1}
+        )))
+    images: dict[str, dict[int, tuple[int, int] | None]] = {"d": {}, "t": {}}
+    for m, by_op in reach.items():
+        for op, image in by_op.items():
+            images[op][index[m]] = image and (index[image[0], m[1]], image[1])
+    skeleton = _Skeleton(atoms, columns, index, tuple((atom.name, word[::-1]) for word, atom in columns), images, tuple(equations))
+    for (n, q), built in builds.items():
+        direct = [(k - 1 + i, {column(m): c * q for m, c in terms.items()}) for (k, i), terms in built]
+        if _equations_at(skeleton, n, q) != direct:
+            raise InternalCheckError(f"the {parity} first-order equations are not affine in the rate")
+    return skeleton
 
 
-def _apply(op: str, terms: _Terms, rules: Relations) -> _Terms:
-    """``apply_operator`` under kill-only rules: each term's image, then the kill filter."""
-    out: _Terms = {}
-    for (word, atom), c in terms.items():
-        image = _image(op, word, atom)
-        if image is None or rules.killed(atom.name, image[0][::-1]):
+def _filtered(skeleton: _Skeleton, row: _Row, rules: Relations) -> _Row:
+    """The entries whose columns no kill rule matches: ``normalize`` of canonical words."""
+    return {j: c for j, c in row.items() if not rules.killed(*skeleton.kills[j])}
+
+
+def _apply(skeleton: _Skeleton, op: str, row: _Row, live: list[bool]) -> _Row:
+    """``apply_operator`` under fixed kill-only rules: each column's image, then
+    the kill filter, read off ``live`` (per column, whether no kill matches it)."""
+    images = skeleton.images[op]
+    out: _Row = {}
+    for j, c in row.items():
+        image = images[j]
+        if image is None or not live[image[0]]:
             continue
-        m = (image[0], atom)
-        value = c if image[1] > 0 else -c
-        out[m] = out[m] + value if m in out else value
-    return {m: c for m, c in out.items() if not c.is_zero()}
+        k, sign = image
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
 
 
-def _laplacian(atom: Atom, rules: Relations) -> _Terms:
-    """``laplacian_link`` of the atom under kill-only rules: d t + t d."""
-    x = {((), atom): ONE}
-    out = _apply("d", _apply("t", x, rules), rules)
-    for m, c in _apply("t", _apply("d", x, rules), rules).items():
-        out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if not c.is_zero()}
+def _laplacian(skeleton: _Skeleton, j: int, live: list[bool]) -> _Row:
+    """``laplacian_link`` of the atom at column j under fixed kill-only rules: d t + t d."""
+    x = {j: 1}
+    out = _apply(skeleton, "d", _apply(skeleton, "t", x, live), live)
+    for k, c in _apply(skeleton, "t", _apply(skeleton, "d", x, live), live).items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
-def _promote(equations: list[_Equation], rules: Relations) -> tuple[list[_Equation], bool]:
-    """Turn single-monomial equations into kill rules; filter the rest by the kills."""
+def _promote(skeleton: _Skeleton, equations: list[_Equation], rules: Relations) -> tuple[list[_Equation], bool]:
+    """Turn single-column equations into kill rules; filter the rest by the kills."""
     changed = False
     remaining: list[_Equation] = []
-    for degree, terms in equations:
-        terms = _filtered(terms, rules)
-        if len(terms) == 1:
-            ((word, atom),) = terms
-            changed |= rules.kill(atom.name, [word[::-1]])
-        elif terms:
-            remaining.append((degree, terms))
+    for degree, row in equations:
+        row = _filtered(skeleton, row, rules)
+        if len(row) == 1:
+            ((name, inner),) = (skeleton.kills[j] for j in row)
+            changed |= rules.kill(name, [inner])
+        elif row:
+            remaining.append((degree, row))
     return remaining, changed
 
 
-def _first_order(affine: _Affine, lam: Scalar, rules: Relations) -> tuple[list[_Equation], _LinearSystem]:
-    """The promoted first-order equations at lam, and one elimination of them
-    with their d and d* prolongations."""
-    equations, _ = _promote(_equations_at(affine, lam), rules)
+def _first_order(skeleton: _Skeleton, equations: list[_Equation], live: list[bool]) -> _LinearSystem:
+    """One elimination of the promoted first-order equations with their d and d* prolongations."""
     system = _LinearSystem()
-    for _, terms in equations:
-        system.add(terms)
-    for degree, terms in equations:
+    for _, row in equations:
+        system.add(row)
+    for degree, row in equations:
         if degree <= 8:
-            system.add(_apply("d", terms, rules))
+            system.add(_apply(skeleton, "d", row, live))
         if 1 <= degree <= 8:
-            system.add(_apply("t", terms, rules))
-    return equations, system
+            system.add(_apply(skeleton, "t", row, live))
+    return system
 
 
 def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
@@ -517,14 +506,14 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     at other rates stalled slots are reported as coupled, not guessed.
 
     What does not depend on lambda is built once per parity and process
-    (``_skeleton``): the atoms and the first-order equations with affine
-    coefficients.  A call evaluates those at lambda, then works on term
-    dicts.  Its relations only ever hold kill words, never eigenvalues or
-    dualities, so rewriting a term under them is its structural reduction
-    followed by the kill test; ``_image`` memoizes the reduction of each
-    (operator, word, atom) once, and the call applies the kill filter
-    after each operator, exactly where ``apply_operator`` and
-    ``normalize`` would.
+    (``_skeleton``): the atoms, numbered monomial columns with their kill
+    keys and d, t images, and the first-order equations as integer rows.  A
+    call at lambda = n/q works on integer rows over the columns throughout,
+    the elimination in one ``ratmat.Echelon``.  Its relations only ever hold
+    kill words, so rewriting a term is its column's image followed by the
+    kill test, exactly where ``apply_operator`` and ``normalize`` test it.
+    Scalars are built only for the output, from integer numerators over
+    the remainder's denominator.
 
     Stage 2 needs no pass cap.  A pass repeats only when it added a kill
     word; one that adds none saw the same rules throughout, and reads each
@@ -536,25 +525,30 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     lam = Scalar.coerce(lam)
     if not lam.is_rational():
         raise InputError("classification rates must be rational")
-    atoms, affine = _skeleton(parity)
+    skeleton = _skeleton(parity)
+    rate = lam.as_fraction()
     rules = Relations()
     verdicts: dict[SlotKey, SlotVerdict] = {}
 
     # Stage 1: frozen second-order relations, modulo one first-order system.
-    equations, system = _first_order(affine, lam, rules)
-    frozen: dict[SlotKey, tuple[Scalar, _Terms]] = {}
-    for key, atom in atoms.items():
-        reduced = system.reduce(_laplacian(atom, rules))
-        c = reduced.pop(((), atom), ZERO)
-        frozen[key] = (c, reduced)
+    # No kill word is added past the first promotion, so each column's kill
+    # test is read once.
+    equations, _ = _promote(skeleton, _equations_at(skeleton, rate.numerator, rate.denominator), rules)
+    live = [not rules.killed(*key) for key in skeleton.kills]
+    system = _first_order(skeleton, equations, live)
+    frozen: dict[SlotKey, tuple[Scalar, _Row, int]] = {}  # (c, coupling numerators, their denominator)
+    for key, atom in skeleton.atoms.items():
+        j = skeleton.index[((), atom)]
+        reduced, den = system.reduce(_laplacian(skeleton, j, live))
+        frozen[key] = (_canonical(reduced.pop(j, 0), 0, 0, 0, den), reduced, den)
 
     # Stage 2: propagation to a fixed point (see the docstring for why it ends).
     changed = True
     while changed:
         changed = False
-        for key, atom in atoms.items():
-            c, coupling = frozen[key]
-            if key in verdicts or _filtered(coupling, rules):
+        for key, atom in skeleton.atoms.items():
+            c, coupling, _ = frozen[key]
+            if key in verdicts or _filtered(skeleton, coupling, rules):
                 continue
             sign = c.sign()
             if sign < 0:
@@ -566,26 +560,27 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
 
         # Back-substitution: a first-order equation collapsing to c*x = 0,
         # which also overrules an earlier harmonic verdict.
-        equations, promoted = _promote(equations, rules)
+        equations, promoted = _promote(skeleton, equations, rules)
         changed |= promoted
-        for key, atom in atoms.items():
+        for key, atom in skeleton.atoms.items():
             verdict = verdicts.get(key)
             zero = () in rules.kills.get(atom.name, ())
             if zero and (verdict is None or verdict.status == "harmonic"):
                 verdicts[key] = SlotVerdict("forced-zero", "back-substitution")
 
     # A slot no rule settled stalled on c > 0 or on its live coupling.
-    for key, atom in atoms.items():
+    for key, atom in skeleton.atoms.items():
         if key not in verdicts:
-            c, coupling = frozen[key]
-            live = LinkExpr(atom.degree, _filtered(coupling, rules))
-            if live.is_zero():
+            c, coupling, den = frozen[key]
+            coupling = _filtered(skeleton, coupling, rules)
+            if not coupling:
                 detail = f"Delta {atom.name} = ({c}) {atom.name}, c > 0"
             else:
                 lead = "" if c.is_zero() else f"({c}) {atom.name} + "
-                detail = f"Delta {atom.name} = {lead}{live!r}"
+                terms = {skeleton.columns[j]: _canonical(v, 0, 0, 0, den) for j, v in coupling.items()}
+                detail = f"Delta {atom.name} = {lead}{LinkExpr(atom.degree, terms)!r}"
             verdicts[key] = SlotVerdict("coupled", detail=detail)
-    return RateClassification(parity, lam, {key: verdicts[key] for key in atoms})
+    return RateClassification(parity, lam, {key: verdicts[key] for key in skeleton.atoms})
 
 
 # -- critical rates of the Laplacian on 1-forms ----------------------------

@@ -1,7 +1,8 @@
 """Exact elimination over Q: the tests' independent reference.
 
 The projector build runs no elimination; these helpers check its results
-from another route (ranks, kernels, projectors onto spans).  Rank
+from another route (ranks, kernels, projectors onto spans), and check the
+package's one elimination, ``ratmat.Echelon``, by rank and remainder.  Rank
 computations clear denominators and run fraction-free (Bareiss-style)
 integer elimination, which keeps intermediate entries as minors of the
 scaled matrix instead of letting rational complexity blow up during
@@ -80,6 +81,16 @@ def rref(a: RatMatrix) -> tuple[RatMatrix, list[int]]:
         if r == rows:
             break
     return m, pivots
+
+
+def remainder(a: RatMatrix, v: RatVector) -> RatVector:
+    """v minus its part in the row space of a along the rows of rref(a): zero at every pivot."""
+    out = list(v)
+    for row, p in zip(*rref(a)):
+        f = out[p]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return out
 
 
 def nullspace(a: RatMatrix) -> list[RatVector]:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+
+import ratref
 
 from spin7ac import cones
 from spin7ac.cones import (
@@ -20,7 +24,7 @@ from spin7ac.cones import (
     one_form_critical_rates,
     psi_cone,
 )
-from spin7ac import linkexpr
+from spin7ac import linkexpr, scalars
 from spin7ac.errors import InputError, InternalCheckError
 from spin7ac.linkexpr import (
     CLOSED,
@@ -37,7 +41,7 @@ from spin7ac.linkexpr import (
     normalize,
     star_link,
 )
-from spin7ac.scalars import ZERO, Scalar
+from spin7ac.scalars import Scalar
 
 
 def random_mixed_form(rng: random.Random, degrees=range(0, 9)) -> HomogeneousConeForm:
@@ -338,42 +342,29 @@ def test_classification_sweep_is_byte_identical_to_pin():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_SWEEP_SHA256
 
 
-def _back_eliminated_remainder(vecs, target):
-    """Reference remainder of the term dict target: rows of the term dicts
-    vecs fully back-eliminated, pivots picked as in cones."""
-    rows = {}  # pivot -> row normalised at it, holding no other pivot
+def _reference_remainder(rows, target, width):
+    """ratref's remainder of the integer row target by the span of the integer
+    rows, fully back-eliminated with pivots in column order, as {column: Fraction}."""
+    dense = [[Fraction(row.get(j, 0)) for j in range(width)] for row in rows]
+    remainder = ratref.remainder(dense, [Fraction(target.get(j, 0)) for j in range(width)])
+    return {j: x for j, x in enumerate(remainder) if x}
 
-    def sub(vec, row, factor):
-        out = {m: vec.get(m, ZERO) - factor * row.get(m, ZERO) for m in vec.keys() | row.keys()}
-        return {m: c for m, c in out.items() if not c.is_zero()}
 
-    def reduce(vec):
-        for pivot, row in rows.items():
-            if pivot in vec:
-                vec = sub(vec, row, vec[pivot])
-        return vec
-
-    for vec in vecs:
-        vec = reduce(dict(vec))
-        if vec:
-            pivot = min(vec, key=cones._monomial_rank)
-            vec = {m: c / vec[pivot] for m, c in vec.items()}
-            for other, row in rows.items():
-                if pivot in row:
-                    rows[other] = sub(row, vec, row[pivot])
-            rows[pivot] = vec
-    return reduce(dict(target))
+def _as_fractions(remainder):
+    vec, den = remainder
+    return {j: Fraction(x, den) for j, x in vec.items()}
 
 
 def test_linear_system_reduces_past_later_pivots():
-    # The row a + b keeps the pivot b of the later row b + c, so only an
-    # in-order pass takes a to the pivot-free remainder c.
-    a, b, c = (LinkExpr.atom(Atom(name, 0)) for name in "abc")
+    # Columns a, b, c = 0, 1, 2: the row a + b keeps the pivot b of the later
+    # row b + c, so only an in-order pass takes a to the pivot-free remainder c.
+    a, b, c = ({j: 1} for j in range(3))
     system = cones._LinearSystem()
-    for expr in (a + b, b + c):
-        system.add(expr.terms)
-    assert [pivot for pivot, _ in system.rows] == [((), Atom("a", 0)), ((), Atom("b", 0))]
-    assert system.reduce(a.terms) == _back_eliminated_remainder([(a + b).terms, (b + c).terms], a.terms) == dict(c.terms)
+    for row in ({**a, **b}, {**b, **c}):
+        system.add(row)
+    assert [pivot for pivot, _ in system.rows] == [0, 1]
+    assert system.reduce(a) == (c, 1)
+    assert _as_fractions(system.reduce(a)) == _reference_remainder([{**a, **b}, {**b, **c}], a, 3) == c
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -382,24 +373,29 @@ def test_first_order_system_is_echelon(monkeypatch, parity, rate):
     added = []
 
     class Recorded(cones._LinearSystem):
-        def add(self, terms) -> None:
-            added.append(dict(terms))
-            super().add(terms)
+        def add(self, row) -> None:
+            added.append(dict(row))
+            super().add(row)
 
     monkeypatch.setattr(cones, "_LinearSystem", Recorded)
-    atoms, affine = cones._skeleton(parity)
+    skeleton = cones._skeleton(parity)
     rules = Relations()
-    equations, system = cones._first_order(affine, Scalar(rate), rules)
+    rate = Fraction(rate)
+    equations, _ = cones._promote(skeleton, cones._equations_at(skeleton, rate.numerator, rate.denominator), rules)
+    system = cones._first_order(skeleton, equations, [not rules.killed(*key) for key in skeleton.kills])
     assert len(added) > len(equations)  # the d and d* prolongations too
     pivots = [pivot for pivot, _ in system.rows]
     for i, (pivot, row) in enumerate(system.rows):
-        assert row[pivot] == Scalar(1)
+        assert pivot == min(row) and row[pivot] > 0 and math.gcd(*row.values()) == 1  # content 1 at the pivot
         assert not set(pivots[:i]) & row.keys()
-    for terms in added:
-        assert system.reduce(terms) == {}
-    for atom in atoms.values():
+    for row in added:
+        assert system.reduce(row) == ({}, 1)
+    for atom in skeleton.atoms.values():
         laplacian = laplacian_link(LinkExpr.atom(atom), rules)
-        assert system.reduce(laplacian.terms) == _back_eliminated_remainder(added, laplacian.terms)
+        target = {skeleton.index[m]: int(c.as_fraction()) for m, c in laplacian.terms.items()}
+        assert [Scalar(c) for c in target.values()] == list(laplacian.terms.values())
+        expected = _reference_remainder(added, target, len(skeleton.columns))
+        assert _as_fractions(system.reduce(target)) == expected
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -439,10 +435,12 @@ def _reachable_monomials(atoms, length=3):
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_filtered_images_match_apply_operator(parity):
-    atoms = list(cones._parity_atoms(parity).values())
+    skeleton = cones._skeleton(parity)
+    atoms = list(skeleton.atoms.values())
     by_degree = _reachable_monomials(atoms)
     whole_words = [word[::-1] for monomials in by_degree.values() for word, _ in monomials if word]
     rng = random.Random(30 if parity == "even" else 31)
+    applied = 0
     for _ in range(300):
         rules = Relations()
         for atom in rng.sample(atoms, rng.randint(0, len(atoms))):
@@ -450,13 +448,25 @@ def test_filtered_images_match_apply_operator(parity):
         degree = rng.choice(sorted(by_degree))
         monomials = by_degree[degree]
         picked = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
-        expr = LinkExpr(degree, {m: Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for m in picked})
-        assert cones._filtered(expr.terms, rules) == normalize(expr, rules).terms
+        coefficients = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for m in picked}
+        # The picks that are columns, as an integer row: 60 clears every denominator.
+        coefficients = {m: c for m, c in coefficients.items() if c and m in skeleton.index}
+        expr = LinkExpr(degree, {m: Scalar(c) for m, c in coefficients.items()})
+        row = {skeleton.index[m]: int(60 * c) for m, c in coefficients.items()}
+
+        def terms(out, scale=60):
+            return {skeleton.columns[j]: Scalar(Fraction(c, scale)) for j, c in out.items()}
+
+        assert terms(cones._filtered(skeleton, row, rules)) == normalize(expr, rules).terms
+        live = [not rules.killed(*key) for key in skeleton.kills]
         for op in ("d", "t"):
-            if (op == "d" and degree <= 8) or (op == "t" and degree >= 1):
-                assert cones._apply(op, expr.terms, rules) == apply_operator(expr, op, rules).terms
+            if row.keys() <= skeleton.images[op].keys() and ((op == "d" and degree <= 8) or (op == "t" and degree >= 1)):
+                assert terms(cones._apply(skeleton, op, row, live)) == apply_operator(expr, op, rules).terms
+                applied += bool(row)
         for atom in atoms:
-            assert cones._laplacian(atom, rules) == laplacian_link(LinkExpr.atom(atom), rules).terms
+            x = skeleton.index[((), atom)]
+            assert terms(cones._laplacian(skeleton, x, live), 1) == laplacian_link(LinkExpr.atom(atom), rules).terms
+    assert applied > 150
 
 
 def test_skeleton_refuses_rate_laws_that_are_not_affine(monkeypatch):
@@ -504,6 +514,60 @@ def test_warm_classifications_make_no_rewrites(monkeypatch):
     cones._skeleton("even")
     cones._skeleton("odd")
     assert cones._skeleton.cache_info().hits == skeleton.hits + 2  # both parities stayed cached
+
+
+def test_warm_classifications_make_no_scalar_arithmetic(monkeypatch):
+    # Rates enter as Scalars, as the CLI passes them, so the input gate is not counted.
+    rates = [Scalar(r) for r in sorted({Fraction(k, q) for q in range(1, 7) for k in range(-6 * q + 1, 1)})]
+    for parity in ("even", "odd"):
+        classify_rate(parity, rates[0])
+    builds = cones._skeleton.cache_info().misses
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for owner, name in ((Scalar, "__mul__"), (Scalar, "_plus"), (Scalar, "inverse"), (scalars, "_frac"),
+                        (cones, "_image"), (linkexpr, "_rewrite")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for parity in ("even", "odd"):
+        for rate in rates:
+            classify_rate(parity, rate)
+    assert len(rates) == 72 and calls == []
+    assert cones._skeleton.cache_info().misses == builds
+    (Scalar(Fraction(1, 3)) * 2 + 1).inverse()  # the counters do see arithmetic
+    assert set(calls) == {"_frac", "__mul__", "_plus", "inverse"}
+
+
+# sha256 of the classify_rate JSON, even then odd, at two rates whose
+# numerators and denominators have 300 and 599 digits, the most an integer
+# input may have; recorded before the elimination moved to integer rows.
+_INPUT_BOUND_SHA256 = "2ccd008e86477d1e9680d9cd3e4b49ffe2efa29738a0dac4d0e24992fa651b7e"
+
+
+def test_classifications_at_the_input_bound_are_pinned():
+    rates = [Fraction(-(7 * 10**299 + 1), 3 * 10**299 + 11), Fraction(-(10**599 - 1), 10**599 - 3)]
+    start = time.perf_counter()
+    lines = [json.dumps(classify_rate(parity, rate).to_json(), sort_keys=True) for parity in ("even", "odd") for rate in rates]
+    assert time.perf_counter() - start < 2  # coefficients do not grow past the rate's own size
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _INPUT_BOUND_SHA256
+
+
+def test_skeleton_refuses_monomials_outside_its_columns(monkeypatch):
+    # Columns come from _image, equation terms from cone_d + cone_dstar: an
+    # image that is an unknown word leaves the equation terms outside.
+    monkeypatch.setattr(cones, "_image", lambda op, word, atom: (("x",) + word, 1))
+    cones._skeleton.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError, match="the even column table has no images of"):
+            cones._skeleton("even")
+        assert cones._skeleton.cache_info().currsize == 0
+    finally:
+        cones._skeleton.cache_clear()
 
 
 def test_one_form_critical_rates():
