@@ -25,7 +25,6 @@ implies closed and co-closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
@@ -49,8 +48,12 @@ from .ratmat import Echelon as _LinearSystem
 from .scalars import ZERO, Scalar, _canonical, strict_int
 
 
-@dataclass(frozen=True)
-class HomogeneousConeForm:
+class _ConeFormFields(NamedTuple):
+    rate: Scalar
+    components: dict[int, tuple[LinkExpr | None, LinkExpr | None]]
+
+
+class HomogeneousConeForm(_ConeFormFields):
     """Mixed-degree homogeneous form on the cone: one (alpha, beta) per degree.
 
     ``components[k] = (alpha, beta)`` with alpha of link degree k-1 (the dr
@@ -58,11 +61,10 @@ class HomogeneousConeForm:
     tolerated so that the classification engine can carry formal top slots.
     """
 
-    rate: Scalar
-    components: dict[int, tuple[LinkExpr | None, LinkExpr | None]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for k, (alpha, beta) in self.components.items():
+    def __new__(cls, rate: Scalar, components: dict) -> "HomogeneousConeForm":
+        for k, (alpha, beta) in components.items():
             if not 0 <= k <= 9:
                 raise InputError(f"cone degree {k} out of range")
             if alpha is not None and not alpha.is_zero() and alpha.degree != k - 1:
@@ -73,6 +75,7 @@ class HomogeneousConeForm:
                 raise InputError(
                     f"tangential slot of degree-{k} component must have link degree {k}"
                 )
+        return super().__new__(cls, rate, components)
 
     @classmethod
     def build(
@@ -112,6 +115,8 @@ class HomogeneousConeForm:
         if self.is_zero() and other.is_zero():
             return True
         return self.rate == other.rate and self.components == other.components
+
+    __ne__ = object.__ne__  # the negation of __eq__, not the tuple comparison
 
     def to_json(self) -> dict:
         comps = []
@@ -235,8 +240,7 @@ def psi_cone(declare_nearly_parallel: bool = True) -> tuple[HomogeneousConeForm,
     return gamma, rules
 
 
-@dataclass(frozen=True)
-class AsdClosedCondition:
+class AsdClosedCondition(NamedTuple):
     """Link equation characterizing closed homogeneous ASD 4-forms of rate lambda.
 
     For lambda != -4 the condition is d alpha = coefficient * (star alpha);
@@ -275,8 +279,7 @@ def asd_form(alpha: Atom, lam: Scalar | int, rules: Relations = EMPTY_RELATIONS)
 SlotKey = tuple[int, str]  # (link degree, "alpha" | "beta")
 
 
-@dataclass(frozen=True)
-class SlotVerdict:
+class SlotVerdict(NamedTuple):
     status: str  # "forced-zero" | "harmonic" | "coupled"
     mechanism: str | None = None  # "eigenvalue" | "back-substitution" for forced-zero
     coefficient: Scalar | None = None  # the c in Delta x = c x, when derived
@@ -293,8 +296,7 @@ class SlotVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class RateClassification:
+class RateClassification(NamedTuple):
     parity: str
     rate: Scalar
     verdicts: dict[SlotKey, SlotVerdict]
@@ -586,8 +588,7 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
 # -- critical rates of the Laplacian on 1-forms ----------------------------
 
 
-@dataclass(frozen=True)
-class CriticalRate:
+class CriticalRate(NamedTuple):
     rate: Rate
     source: str
 

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .forms import Form, hodge_star, wedge
@@ -56,19 +55,23 @@ from .scalars import _INT_BOUND, SQRT5, SQRT581, SQRT2905, ZERO, Scalar, _canoni
 KAPPA_INVERSE = Scalar(3) / SQRT5  # 3/sqrt5 = (3/5) sqrt5
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
-    """Highest weight (k1, k2) for Sp(2) and l for Sp(1)."""
-
+class _LabelFields(NamedTuple):
     k1: int
     k2: int
     l: int
 
-    def __post_init__(self) -> None:
-        if max(self.k1, self.k2, self.l) >= _INT_BOUND:
+
+class IrrepLabel(_LabelFields):
+    """Highest weight (k1, k2) for Sp(2) and l for Sp(1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k1: int, k2: int, l: int) -> "IrrepLabel":
+        if max(k1, k2, l) >= _INT_BOUND:
             raise InputError("highest weight entry beyond the integer size bound")
-        if not (self.k1 >= self.k2 >= 0 and self.l >= 0):
-            raise InputError(f"invalid highest weight ({self.k1},{self.k2},{self.l})")
+        if not (k1 >= k2 >= 0 and l >= 0):
+            raise InputError(f"invalid highest weight ({k1},{k2},{l})")
+        return super().__new__(cls, k1, k2, l)
 
     def __str__(self) -> str:
         return f"({self.k1},{self.k2},{self.l})"
@@ -100,8 +103,7 @@ _PAPER_PRINTED: dict[tuple[int, int, int], dict[str, Scalar]] = {
 }
 
 
-@dataclass(frozen=True)
-class CasimirChain:
+class CasimirChain(NamedTuple):
     """The eigenvalue chain of one Casimir, shared by every label of that Casimir."""
 
     casimir: Scalar
@@ -130,8 +132,7 @@ class CasimirChain:
         }
 
 
-@dataclass(frozen=True)
-class CasimirRecord:
+class CasimirRecord(NamedTuple):
     """One candidate representation: its label and the chain of its Casimir.
 
     The values printed at the source for the label, if it is listed there,
@@ -322,8 +323,7 @@ def _scaled(coeffs: dict[tuple[int, int, int], int]) -> Form:
     )
 
 
-@dataclass(frozen=True)
-class HomData:
+class HomData(NamedTuple):
     """Partial action table for one common submodule.
 
     ``action[(i, v)]`` holds A(e_i . v) and ``direct[v]`` holds A(v),
@@ -436,8 +436,7 @@ BRANCHING: dict[tuple[int, int, int], tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     record: CasimirRecord
     common_modules: tuple[str, ...] | None  # None: no branching data
     verdict: str  # "contributes" | "obstructed" | "no-common-subrepresentation"
@@ -455,8 +454,7 @@ class CandidateVerdict:
         }
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     candidates: tuple[CandidateVerdict, ...]
     e_table: tuple[Contribution, ...]  # confirmed E-space contributions
     unresolved: tuple[str, ...]

@@ -27,8 +27,7 @@ classification engine, where they are only ever equated to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .scalars import ONE, ZERO, Scalar, strict_int
@@ -38,24 +37,24 @@ Word = tuple[str, ...]
 _MAX_REWRITE_DEPTH = 60
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A named abstract link form with a declared degree.
-
-    Atoms key every term dict of the calculus, so the hash of (name, degree)
-    is computed once here rather than on every lookup.
-    """
-
+class _AtomFields(NamedTuple):
     name: str
     degree: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.degree <= 8:
-            raise InputError(f"atom degree {self.degree} out of range 0..8")
-        object.__setattr__(self, "_hash", hash((self.name, self.degree)))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Atom(_AtomFields):
+    """A named abstract link form with a declared degree.
+
+    Atoms key every term dict of the calculus; as a tuple, an atom hashes
+    and compares in C, ordered by (name, degree).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, degree: int) -> "Atom":
+        if not 0 <= degree <= 8:
+            raise InputError(f"atom degree {degree} out of range 0..8")
+        return super().__new__(cls, name, degree)
 
     def to_json(self) -> dict:
         return {"name": self.name, "degree": self.degree}
@@ -71,7 +70,6 @@ COCLOSED: tuple[Word, ...] = (("t",), ("s", "d"))
 HARMONIC = CLOSED + COCLOSED  # compact link: harmonic is closed and co-closed
 
 
-@dataclass
 class Relations:
     """Declared relations for the named atoms of a computation.
 
@@ -79,11 +77,13 @@ class Relations:
     atom vanishes when its innermost operators start with one of them, and
     the empty word kills the atom itself.  ``eigen[name] = mu`` declares
     Delta a = mu a, ``duality[name] = c`` declares d a = c * (s a).
+    Each argument left out starts as a fresh dict.
     """
 
-    eigen: dict[str, Scalar] = field(default_factory=dict)
-    duality: dict[str, Scalar] = field(default_factory=dict)
-    kills: dict[str, set[Word]] = field(default_factory=dict)
+    def __init__(self, eigen: dict | None = None, duality: dict | None = None, kills: dict | None = None) -> None:
+        self.eigen: dict[str, Scalar] = {} if eigen is None else eigen
+        self.duality: dict[str, Scalar] = {} if duality is None else duality
+        self.kills: dict[str, set[Word]] = {} if kills is None else kills
 
     def kill(self, name: str, words: Iterable[Word]) -> bool:
         """Kill the words on the named atom; True when one of them is new."""

@@ -21,9 +21,8 @@ the homogeneous rigidity computation) and binary64 otherwise.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .scalars import Scalar, sqrt_rational, strict_int
@@ -38,8 +37,7 @@ def mu_of_lambda(lam: Scalar | int | Fraction) -> Scalar:
     return x * x - x * Fraction(2, 3)
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(NamedTuple):
     """A rate lambda, exact in the field when representable."""
 
     value: Scalar | None
@@ -88,8 +86,7 @@ def lambda_of_mu(mu: Scalar | int | Fraction) -> list[Rate]:
     return [Rate.of(lam) for lam in roots if -4 < lam < 0]
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One critical rate with the dimension of its E-space."""
 
     rate: Scalar
@@ -100,21 +97,24 @@ class Contribution:
         return {"lambda": self.rate.to_json(), "dim_E": self.dim, "source": self.source}
 
 
-@dataclass(frozen=True)
-class LinkData:
-    """Per-link inputs of the dimension formula."""
-
+class _LinkDataFields(NamedTuple):
     name: str
     dim_h4_minus_l2: int
     dim_im_upsilon4: int
     contributions: tuple[Contribution, ...]
-    critical_rates: tuple[Scalar, ...] = ()
+    critical_rates: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if self.dim_h4_minus_l2 < 0 or self.dim_im_upsilon4 < 0:
+
+class LinkData(_LinkDataFields):
+    """Per-link inputs of the dimension formula; contributions are kept sorted by rate."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, dim_h4_minus_l2, dim_im_upsilon4, contributions, critical_rates=()) -> "LinkData":
+        if dim_h4_minus_l2 < 0 or dim_im_upsilon4 < 0:
             raise InputError("cohomological dimensions must be nonnegative")
         seen: list[Scalar] = []
-        for contribution in self.contributions:
+        for contribution in contributions:
             lam = contribution.rate
             if not -4 < lam < 0:
                 raise InputError(f"contribution rate {lam} outside (-4, 0)")
@@ -123,8 +123,8 @@ class LinkData:
             if any(lam == s for s in seen):
                 raise InputError(f"duplicate contribution rate {lam}")
             seen.append(lam)
-        ordered = tuple(sorted(self.contributions, key=lambda c: c.rate))
-        object.__setattr__(self, "contributions", ordered)
+        ordered = tuple(sorted(contributions, key=lambda c: c.rate))
+        return super().__new__(cls, name, dim_h4_minus_l2, dim_im_upsilon4, ordered, critical_rates)
 
     def to_json(self) -> dict:
         return {
@@ -164,8 +164,7 @@ class LinkData:
         return cls(contributions=contributions, **fields)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """dim M_nu with its breakdown."""
 
     nu: Scalar
@@ -217,8 +216,7 @@ def moduli_dimension(link: LinkData, nu: Scalar | int | Fraction) -> DimensionRe
     )
 
 
-@dataclass(frozen=True)
-class ScalingCheck:
+class ScalingCheck(NamedTuple):
     """Result of validating the scaling-deformation bookkeeping."""
 
     nu_metric: Scalar

@@ -27,9 +27,9 @@ orderings), so results are deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,7 @@ def _tables():
     }
 
 
-@dataclass(frozen=True)
-class PiThetaResult:
+class PiThetaResult(NamedTuple):
     """Solution of the splitting at one point.
 
     ``a_matrix`` lies in the complement W of the stabiliser algebra,

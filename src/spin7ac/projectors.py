@@ -37,9 +37,9 @@ D, and the Pi/Theta float tables divide N by D in binary64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import ratmat
 from .errors import InputError, InternalCheckError
@@ -161,8 +161,14 @@ def star_matrix(n: int, k: int) -> IntMatrix:
     return mat
 
 
-@dataclass(frozen=True)
-class ProjectorTable:
+class _ProjectorFields(NamedTuple):
+    projectors: dict[TypeLabel, IntMatrix]
+    lambda2_21_matrices: list[IntMatrix]
+    lambda2_7_matrices: list[IntMatrix]
+    rows: dict[TypeLabel, SparseRows]
+
+
+class ProjectorTable(_ProjectorFields):
     """Exact orthogonal projectors onto every irreducible Spin(7) type.
 
     ``projectors`` maps (degree, dim) to the integer numerator
@@ -174,14 +180,11 @@ class ProjectorTable:
     Pi/Theta solver needs them.
     """
 
-    projectors: dict[TypeLabel, IntMatrix]
-    lambda2_21_matrices: list[IntMatrix]
-    lambda2_7_matrices: list[IntMatrix]
-    rows: dict[TypeLabel, SparseRows] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        sparse = {label: ratmat.sparse_rows(n) for label, n in self.projectors.items()}
-        object.__setattr__(self, "rows", sparse)
+    def __new__(cls, projectors, lambda2_21_matrices, lambda2_7_matrices) -> "ProjectorTable":
+        rows = {label: ratmat.sparse_rows(n) for label, n in projectors.items()}
+        return super().__new__(cls, projectors, lambda2_21_matrices, lambda2_7_matrices, rows)
 
     def _label(self, degree: int, dim: int) -> TypeLabel:
         if (degree, dim) not in self.projectors:
@@ -308,8 +311,7 @@ def _certify(table: dict[TypeLabel, IntMatrix]) -> None:
                     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Type components of a 2-, 3- or 4-form over R^8."""
 
     input: Form

@@ -289,24 +289,23 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
-        for coeff, tag in zip((self.a, self.b, self.c, self.d), _SURD_KEYS):
-            if coeff == 0:
+        for num, tag in zip((self._a, self._b, self._c, self._d), _SURD_KEYS):
+            if not num:
                 continue
-            mag = coeff if coeff > 0 else -coeff
+            g = math.gcd(num, self._den)  # one gcd per nonzero coefficient, as in to_json
+            mag = f"{abs(num) // g}" if g == self._den else f"{abs(num) // g}/{self._den // g}"
             if tag == "1":
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = tag
             else:
                 body = f"{mag}*{tag}"
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
+        return " ".join(parts) or "0"
 
     # -- serialization -------------------------------------------------
 

@@ -146,14 +146,14 @@ def test_pi_theta_tol_default(capsys, monkeypatch, tmp_path):
     assert seen == [pitheta.DEFAULT_TOL, 1e-9]
 
 
-def test_cli_loads_numpy_only_for_pi_theta(tmp_path):
-    eta, gamma = tmp_path / "eta.json", tmp_path / "gamma.json"
-    eta.write_text(json.dumps(_FORM))
+def _exact_calls(tmp_path) -> list[list[str]]:
+    """One argv per subcommand but pi-theta; the cone form is written to tmp_path."""
+    gamma = tmp_path / "gamma.json"
     gamma.write_text(json.dumps(_PIN_INPUTS["gamma"]))
-    exact_calls = [
+    return [
         ["verify-algebra"],
         ["projectors", "--export", "4_35"],
-        ["decompose", "--form", "@psi0"],
+        ["decompose", "--form", PSI0_JSON],
         ["cone-op", "--op", "laplacian", "--form", str(gamma)],
         ["classify-rate", "--parity", "even", "--rate=-4"],
         ["critical-rates", "--eigenvalues", "7,16,135/16"],
@@ -162,13 +162,17 @@ def test_cli_loads_numpy_only_for_pi_theta(tmp_path):
         ["enumerate", "--lo=-1", "--hi", "0"],
         ["bryant-salamon"],
     ]
+
+
+def test_cli_loads_numpy_only_for_pi_theta(tmp_path):
+    eta = tmp_path / "eta.json"
+    eta.write_text(json.dumps(_FORM))
     code = f"""
 import contextlib, io, sys
 sys.path[:0] = {sys.path!r}
 from spin7ac import cli
 assert 'numpy' not in sys.modules, 'numpy imported with spin7ac.cli'
-for argv in {exact_calls!r}:
-    argv = [{PSI0_JSON!r} if a == '@psi0' else a for a in argv]
+for argv in {_exact_calls(tmp_path)!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert 'numpy' not in sys.modules, f'numpy imported by {{argv[0]}}'
@@ -178,6 +182,35 @@ assert 'numpy' in sys.modules, 'pi-theta ran without numpy'
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_cold_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # Records are NamedTuples, so a cold call compiles no generated methods.
+    # -S keeps site and the host's .pth hooks, which may import either, out.
+    code = f"""
+import contextlib, io, sys
+sys.path[:0] = {sys.path!r}
+from spin7ac import cli
+for argv in [[], *{_exact_calls(tmp_path)!r}]:
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    loaded = sorted({{'dataclasses', 'inspect'}} & sys.modules.keys())
+    assert not loaded, f'{{loaded}} loaded after {{argv or "import"}}'
+"""
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_no_module_imports_dataclasses():
+    imported = []
+    for path in sorted(Path(spin7ac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.stem, a.name) for a in node.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                imported.append((path.stem, node.module))
+    assert imported == []
 
 
 def test_pi_theta_holds_the_only_function_local_import():
@@ -325,15 +358,13 @@ def test_internal_check_exit_code(capsys, monkeypatch):
 def test_pipeline_self_check_exit_code(capsys, monkeypatch):
     # bryant-salamon reads no input: a failed check of its built-in tables
     # is an internal failure (exit 4), not a domain error (exit 3).
-    import dataclasses
-
     from spin7ac import homrep
     from spin7ac.forms import Form
 
     verbatim = homrep.ud_hom_data
 
     def not_type27():
-        return dataclasses.replace(verbatim(), direct={"e4": Form.monomial(7, (1, 2, 3))})
+        return verbatim()._replace(direct={"e4": Form.monomial(7, (1, 2, 3))})
 
     monkeypatch.setattr(homrep, "ud_hom_data", not_type27)
     code, out, err = run_cli(capsys, "bryant-salamon")

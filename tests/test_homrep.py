@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -190,9 +189,9 @@ def test_records_share_one_frozen_chain_per_casimir():
         n = _scaled_casimir(r.label.k1, r.label.k2, r.label.l)
         assert casimir(r.label) == r.casimir == Fraction(-n, 24)
     record = records[-1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         record.chain = records[0].chain
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         record.chain.lambdas = ()
     with pytest.raises(AttributeError):
         record.casimir = Scalar(0)

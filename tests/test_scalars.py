@@ -135,6 +135,31 @@ def test_str_smoke():
     assert "sqrt5" in str(SQRT5)
 
 
+def _fraction_str(x: Scalar) -> str:
+    """Reference rendering through the Fraction components a..d."""
+    parts = []
+    for coeff, tag in zip((x.a, x.b, x.c, x.d), ("1", "sqrt5", "sqrt581", "sqrt2905")):
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        body = str(mag) if tag == "1" else tag if mag == 1 else f"{mag}*{tag}"
+        sign = ("" if coeff > 0 else "-") if not parts else ("+ " if coeff > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+def test_str_matches_the_fraction_rendering():
+    rng = random.Random(33)
+    units = [Scalar(*(rng.choice((-1, 0, 1)) for _ in range(4))) for _ in range(100)]
+    for x in [ZERO, Scalar(1), -SQRT5, SQRT581, -SQRT2905, *units]:
+        assert str(x) == _fraction_str(x)
+    for _ in range(500):
+        x = random_scalar(rng, rng.choice((12, 10**6)))
+        assert str(x) == _fraction_str(x)
+        assert str(-x) == _fraction_str(-x)
+    assert str(Scalar(Fraction(3, 2), -1, Fraction(-4, 6), 2)) == "3/2 - sqrt5 - 2/3*sqrt581 + 2*sqrt2905"
+
+
 def test_galois_norm_rational():
     rng = random.Random(5)
     for _ in range(50):
