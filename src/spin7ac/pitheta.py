@@ -12,16 +12,17 @@ Jacobian at the origin is (A, zeta) |-> gl_inf_action(A, psi0) + zeta,
 which is a linear isomorphism onto Lambda^4.
 
 Newton stays in the 70-dimensional space: pullback by exp(A) acts on
-Lambda^4 as exp(D_A), where D_A = rho(A) = sum a_i G_i over the integer
-``rho`` generators G_i of W, so pi = exp(D_A) psi0 is one action of a
-70x70 exponential on a vector (``exp_action``, a Taylor series of matvecs;
-Al-Mohy and Higham 2011).  ``matrix_exp`` and ``compound4``, the 8x8
-exponential and its 4x4 minors, remain as the independent cross-check
-(``pullback_vector``, ``spin7_group_element``).
+Lambda^4 as exp(D_A), where D_A = rho(A) = sum a_i G_i over the 2,590
+integer nonzeros of the ``rho`` generators G_i of W, so pi = exp(D_A) psi0
+is one action of a 70x70 exponential on a vector (``exp_action``, a Taylor
+series of matvecs; Al-Mohy and Higham 2011).  ``matrix_exp`` and
+``compound4``, the 8x8 exponential and its 4x4 minors, remain as the
+independent cross-check (``pullback_vector``, ``spin7_group_element``).
 
 Everything in this module runs in binary64; exact Scalars are converted
-on entry.  Summation orders are fixed (numpy reductions over frozen basis
-orderings), so results are deterministic for fixed inputs.
+on entry.  D_A and the Jacobian sum each entry in the fixed order of the
+nonzeros of G_i (``np.bincount``), independent of the host's BLAS, so
+results are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -121,14 +122,19 @@ def _form_to_float(a: Form) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _tables():
-    """Float tables derived from the exact projector data (built once)."""
+    """Float tables derived from the exact projector data (built once).
+
+    ``rho`` holds the nonzeros of rho(4, B) for the 43 W-basis elements B
+    as (generator, row, col, value) arrays, generator ascending: every
+    ``np.bincount`` over them sums each bin in that order, whatever BLAS
+    the host has.  ``w_stack`` and ``lambda21`` are the W and Lambda^2_21
+    bases as (43, 64) and (21, 64) stacks of row-major 8x8 matrices.
+    """
     table = build_projectors()
     exact_w = [identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
-    # gl_inf_action(B, .) as a 70x70 matrix per W-basis element B, in one array.
-    glact = np.zeros((len(exact_w), len(_BASIS4), len(_BASIS4)))
-    for g, b in zip(glact, exact_w):
-        for (row, col), value in rho(4, b).items():
-            g[row, col] = value
+    gen, row, col, value = np.array(
+        [(g, *cell, v) for g, b in enumerate(exact_w) for cell, v in rho(4, b).items()]
+    ).T
     # N / D in binary64 division of exact small ints: correctly rounded, so
     # bit-identical to float(Fraction(N, D)).
     def projector(degree: int, dim: int) -> np.ndarray:
@@ -146,15 +152,27 @@ def _tables():
         block[idx] = kept
         e27.append(block)
     return {
-        "w_matrices": [np.array(m, dtype=float) for m in exact_w],
-        "glact": glact,  # (43, 70, 70)
+        "w_stack": np.array(exact_w, dtype=float).reshape(43, 64),
+        "rho": (gen, row, col, value.astype(float)),
         "e27": np.hstack(e27),  # 70 x 27, orthonormal
         "p21": projector(2, 21),
         "p35": projector(4, 35),
         "p27": p27,
         "psi_vec": _form_to_float(psi0()),
-        "lambda21": [np.array(m, dtype=float) for m in table.lambda2_21_matrices],
+        "lambda21": np.array(table.lambda2_21_matrices, dtype=float).reshape(21, 64),
     }
+
+
+def _derivation(rho_w: tuple, a_coeffs: np.ndarray) -> np.ndarray:
+    """D_A = sum a_i G_i as a 70x70 array."""
+    gen, row, col, value = rho_w
+    return np.bincount(row * 70 + col, a_coeffs[gen] * value, 4900).reshape(70, 70)
+
+
+def _jacobian_a(rho_w: tuple, pi_vec: np.ndarray) -> np.ndarray:
+    """The 70x43 Jacobian block whose column i is G_i pi."""
+    gen, row, col, value = rho_w
+    return np.bincount(gen * 70 + row, value * pi_vec[col], 43 * 70).reshape(43, 70).T
 
 
 class PiThetaResult(NamedTuple):
@@ -263,26 +281,17 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
     psi_vec = t["psi_vec"]
     target = psi_vec + eta_vec
     e27 = t["e27"]
-    w_matrices = t["w_matrices"]
-    glact = t["glact"]
-    glact_flat = glact.reshape(len(glact), -1)  # a view: D_A = a @ glact_flat
+    rho_w = t["rho"]
 
     a_coeffs = np.zeros(43)
     z_coeffs = np.zeros(27)
 
-    def assemble(a_c: np.ndarray) -> np.ndarray:
-        m = np.zeros((8, 8))
-        for c, b in zip(a_c, w_matrices):
-            if c != 0.0:
-                m += c * b
-        return m
-
     def residual_vec(a_c: np.ndarray, z_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pi_vec = exp_action((a_c @ glact_flat).reshape(70, 70), psi_vec)
+        pi_vec = exp_action(_derivation(rho_w, a_c), psi_vec)
         return pi_vec + e27 @ z_c - target, pi_vec
 
     r, pi_vec = residual_vec(a_coeffs, z_coeffs)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(r @ r)
     floor = 4 * _ROUNDOFF * float(np.linalg.norm(target))  # roundoff of evaluating r
     iterations = 0
     while rnorm > tol:
@@ -292,7 +301,7 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
                 f"{MAX_ITERATIONS} iterations ({_NOT_REACHED})"
             )
         jac = np.empty((70, 70))
-        jac[:, :43] = (glact @ pi_vec).T
+        jac[:, :43] = _jacobian_a(rho_w, pi_vec)
         jac[:, 43:] = e27
         delta = np.linalg.solve(jac, -r)
         step = 1.0
@@ -300,7 +309,8 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
             trial_a = a_coeffs + step * delta[:43]
             trial_z = z_coeffs + step * delta[43:]
             r_trial, pi_trial = residual_vec(trial_a, trial_z)
-            if float(np.linalg.norm(r_trial)) < rnorm:
+            trial_norm = math.sqrt(r_trial @ r_trial)
+            if trial_norm < rnorm:
                 break
             step *= 0.5
         else:
@@ -309,7 +319,7 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
                 f"({_NOT_REACHED})"
             )
         a_coeffs, z_coeffs, pi_vec = trial_a, trial_z, pi_trial
-        r, rnorm = r_trial, float(np.linalg.norm(r_trial))
+        r, rnorm = r_trial, trial_norm
         iterations += 1
         if tol < rnorm <= floor:
             raise InputError(
@@ -318,7 +328,7 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
             )
 
     return PiThetaResult(
-        a_matrix=assemble(a_coeffs),
+        a_matrix=(a_coeffs @ t["w_stack"]).reshape(8, 8),
         zeta=e27 @ z_coeffs,
         pi=pi_vec,
         residual=rnorm,
@@ -333,11 +343,7 @@ def pullback_vector(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def spin7_group_element(coeffs: np.ndarray) -> np.ndarray:
     """exp of the Lambda^2_21 combination with the given 21 coefficients."""
-    t = _tables()
-    basis = t["lambda21"]
+    basis = _tables()["lambda21"]
     if len(coeffs) != len(basis):
         raise InputError(f"expected {len(basis)} coefficients")
-    m = np.zeros((8, 8))
-    for c, b in zip(coeffs, basis):
-        m += float(c) * b
-    return matrix_exp(m)
+    return matrix_exp((np.asarray(coeffs, dtype=float) @ basis).reshape(8, 8))

@@ -443,7 +443,10 @@ def test_projector_export_bytes(capsys, label):
 # while Scalar still held four Fraction components.  An argument "@name"
 # stands for a file holding _PIN_INPUTS[name].  pi-theta was re-recorded
 # when pi became exp(rho(A)) psi0 on Lambda^4: its floats moved by at most
-# 2.2e-16, with the same term supports and iteration count.
+# 2.2e-16, with the same term supports and iteration count.  pi-theta-generic
+# was recorded when D_A and the Jacobian became sparse sums in generator
+# order; the dense products before gave floats within 2.8e-20 of it, with
+# the same term supports and iteration count.
 _PIN_INPUTS = {
     "dense_q5": {
         "n": 8,
@@ -461,6 +464,30 @@ _PIN_INPUTS = {
             "5,6,7,8": {"1": "-1/50"},
             "1,2,5,6": {"1": "1/40"},
             "3,4,7,8": {"1": "-1/40"},
+        },
+    },
+    # eta_hat / 20 for the unit eta_hat of test_pitheta's jet test: off
+    # psi0's 14 monomials, so that A has off-diagonal entries.
+    "eta_generic": {
+        "n": 8,
+        "k": 4,
+        "terms": {
+            "1,2,3,5": {"1": "1/240"},
+            "1,2,3,8": {"1": "1/40"},
+            "1,2,4,7": {"1": "-1/240"},
+            "1,2,6,8": {"1": "1/120"},
+            "1,3,4,6": {"1": "1/240"},
+            "1,3,5,6": {"1": "-1/120"},
+            "1,4,7,8": {"1": "1/80"},
+            "1,5,6,7": {"1": "-1/60"},
+            "2,3,4,8": {"1": "-1/60"},
+            "2,3,5,6": {"1": "-1/80"},
+            "2,4,7,8": {"1": "-1/120"},
+            "2,5,7,8": {"1": "-1/240"},
+            "3,4,5,7": {"1": "1/120"},
+            "3,5,6,8": {"1": "1/240"},
+            "4,5,6,7": {"1": "-1/40"},
+            "4,6,7,8": {"1": "1/240"},
         },
     },
     "gamma": {
@@ -483,6 +510,7 @@ _STDOUT_SHA256 = {
     "decompose-psi0": (("decompose", "--form", "@psi0"), "9b8b4eed3a905c7748e36938369f017ebaadba0fd1af2ee654fedc6ae2347f5e"),
     "decompose-dense-q5": (("decompose", "--form", "@dense_q5"), "8bf88f287befb6cffa54319672fef3bf283dbd0eed959c8421c16e2de2f58f1e"),
     "pi-theta": (("pi-theta", "--form", "@eta"), "f3e6c6591108f47462f71439b1d47b97db7272945036a9b253f3e2386f7f3d01"),
+    "pi-theta-generic": (("pi-theta", "--form", "@eta_generic"), "2b012f2b978e780a1f51f0f5ae6970bab4b62fa8f43e906a9247963afc9a2f87"),
     "cone-op": (("cone-op", "--op", "laplacian", "--form", "@gamma"), "1a62624f3285b62f7f927b014a91092699c576d60ac3b43b34f912b6d698a237"),
     "classify-rate-even-4": (("classify-rate", "--parity", "even", "--rate=-4"), "127ef4eadd3b708f8e2bde13d097a011238fae59a89c90a6b17880ffab3fa0bc"),
     "classify-rate-odd-3": (("classify-rate", "--parity", "odd", "--rate=-3"), "c8754361451e69c426f1adb3f4865b4b08460acfd5ca865c9f377e0aae743464"),

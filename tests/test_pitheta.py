@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ratref
 from spin7ac import pitheta
 from spin7ac.errors import InputError
-from spin7ac.forms import Form, Matrix, gl_inf_action, monomial_basis, rho
-from spin7ac.projectors import PSI0_TERMS, build_projectors, sym0_matrix_basis
+from spin7ac.forms import Form, Matrix, gl_inf_action, hodge_star, monomial_basis, rho
+from spin7ac.projectors import DENOMINATORS, PSI0_TERMS, build_projectors, sym0_matrix_basis
 from spin7ac.pitheta import (
     DEFAULT_TOL,
     PiThetaResult,
@@ -81,6 +82,72 @@ def test_dtheta_vanishes_at_origin():
         assert ratios[2] <= 0.2 * ratios[1]
 
 
+# eta_hat = sum k/12 (dx_I - *dx_I): anti-self-dual, |eta_hat| = 1 exactly
+# (2 * (1 + 1 + 1 + 4 + 4 + 9 + 16 + 36) = 144), and off psi0's 14 monomials.
+_GENERIC_PAIRS = (
+    ((1, 2, 3, 5), 1), ((1, 2, 4, 7), -1), ((1, 3, 4, 6), 1), ((1, 2, 6, 8), 2),
+    ((1, 3, 5, 6), -2), ((1, 4, 7, 8), 3), ((1, 5, 6, 7), -4), ((1, 2, 3, 8), 6),
+)
+
+
+def test_newton_matches_the_exact_second_order_jet(table):
+    # With L(B) = rho(B) psi0 on gl(8) and eta = t eta_hat, the split is
+    # A = t A1 + t^2 A2 + O(t^3) and zeta = t^2 zeta2 + O(t^3), where
+    # A1 = L*(eta_hat) / 4 lies in S^2_0 and L(A1) = eta_hat (zeta1 = 0),
+    # and q = -1/2 rho(A1)^2 psi0 = -1/2 rho(A1) eta_hat splits as
+    # L(A2) + zeta2 with zeta2 = P^4_27 q.  q has no Lambda^4_7 or _35 part,
+    # and <q, psi0> = -|eta_hat|^2 / 2, so A2 = -Id / 112 (L(Id) = 4 psi0).
+    # All exact, in Fractions; Newton is checked against it.
+    index = {key: i for i, key in enumerate(monomial_basis(8, 4))}
+    generators = [
+        rho(4, [[int((r, c) == ij) for c in range(8)] for r in range(8)])
+        for ij in itertools.product(range(8), repeat=2)
+    ]
+
+    def act(b, v):  # rho(B) v, B given by its 64 row-major entries
+        out = [Fraction(0)] * 70
+        for x, g in zip(b, generators):
+            if x:
+                for (row, col), value in g.items():
+                    out[row] += x * value * v[col]
+        return out
+
+    psi = [0] * 70
+    for key, sign in PSI0_TERMS:
+        psi[index[key]] = sign
+    columns = [act([int(k == m) for m in range(64)], psi) for k in range(64)]  # L(E_ij)
+
+    eta = Form.zero(8, 4)
+    for key, k in _GENERIC_PAIRS:
+        e = Form.monomial(8, key)
+        eta = eta + (e - hodge_star(e)).scale(Scalar(Fraction(k, 12)))
+    assert table.apply(4, 35, eta) == eta
+    eta_hat = [Fraction(0)] * 70
+    for key, value in eta.terms.items():
+        eta_hat[index[key]] = value.as_fraction()
+    assert ratref.dot(eta_hat, eta_hat) == 1
+
+    a1 = [ratref.dot(c, eta_hat) / 4 for c in columns]
+    assert act(a1, psi) == eta_hat
+    assert all(a1[8 * i + j] == a1[8 * j + i] for i in range(8) for j in range(8))
+    assert sum(a1[::9]) == 0
+    q = [-x / 2 for x in act(a1, eta_hat)]
+    zeta2 = [Fraction(ratref.dot(row, q), DENOMINATORS[4]) for row in table.projectors[(4, 27)]]
+    a2 = [Fraction(-int(k % 9 == 0), 112) for k in range(64)]
+    assert [x + z for x, z in zip(act(a2, psi), zeta2)] == q
+
+    a1, a2 = (np.array(a, dtype=float).reshape(8, 8) for a in (a1, a2))
+    zeta2, eta_hat = np.array(zeta2, dtype=float), np.array(eta_hat, dtype=float)
+    errors = []
+    for t in (0.08, 0.04, 0.02, 0.01):
+        result = pi_theta(t * eta_hat, tol=1e-14)
+        errors.append((np.abs(result.zeta - t * t * zeta2).max(),
+                       np.abs(result.a_matrix - t * a1 - t * t * a2).max()))
+    for (zeta_error, a_error), (zeta_half, a_half) in zip(errors, errors[1:]):
+        assert zeta_error >= 12 * zeta_half
+        assert a_error >= 6 * a_half
+
+
 def test_idempotence_of_splitting():
     rng = np.random.default_rng(102)
     psi_vec = _tables()["psi_vec"]
@@ -120,16 +187,24 @@ def test_a_stabiliser_component_is_the_projection_norm():
     rng = np.random.default_rng(109)
     zero = np.zeros(70)
     for _ in range(5):
-        spin7 = sum(c * b for c, b in zip(rng.standard_normal(21), t["lambda21"]))
-        w = sum(c * b for c, b in zip(rng.standard_normal(43), t["w_matrices"]))
+        spin7 = (rng.standard_normal(21) @ t["lambda21"]).reshape(8, 8)
+        w = (rng.standard_normal(43) @ t["w_stack"]).reshape(8, 8)
         for a, expected in ((spin7, np.linalg.norm(spin7)), (w, 0.0)):
             result = PiThetaResult(a_matrix=a, zeta=zero, pi=zero, residual=0.0, iterations=0)
             assert abs(result.a_stabiliser_component() - expected) <= 1e-12
 
 
+def _dense_rho(rho_w: tuple) -> np.ndarray:
+    """A (generator, row, col, value) table of rho as a dense (43, 70, 70) array."""
+    gen, row, col, value = rho_w
+    out = np.zeros((43, 70, 70))
+    out[gen, row, col] = value
+    return out
+
+
 def test_glact_is_gl_inf_action(table):
     # The rho-built tables against the exact action, column by column.
-    glact = _tables()["glact"]
+    glact = _dense_rho(_tables()["rho"])
     w = [Matrix.identity(8)] + [Matrix(m) for m in sym0_matrix_basis() + table.lambda2_7_matrices]
     for i in (0, 10, 35, 36, 42):
         for col, key in enumerate(monomial_basis(8, 4)):
@@ -145,9 +220,30 @@ def test_build_and_tables_make_no_matrix(monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", refuse)
     assert build_projectors.__wrapped__() == build_projectors()
     rebuilt = _tables.__wrapped__()
-    assert np.array_equal(rebuilt["glact"], _tables()["glact"])
+    assert np.array_equal(_dense_rho(rebuilt["rho"]), _dense_rho(_tables()["rho"]))
     with pytest.raises(AssertionError, match="forms.Matrix constructed"):
         Matrix.identity(8)
+
+
+def test_sparse_action_sums_in_generator_order(table):
+    # D_A and the Jacobian block against a sequential sum over the 43
+    # generators, ascending, each from rho: equal to the last bit, so the
+    # summation order is the code's and not the host BLAS's.
+    w = [[[int(i == j) for j in range(8)] for i in range(8)]]
+    w += sym0_matrix_basis() + table.lambda2_7_matrices
+    generators = [rho(4, b) for b in w]
+    rho_w = _tables()["rho"]
+    assert len(rho_w[0]) == sum(map(len, generators)) == 2590
+    rng = np.random.default_rng(114)
+    for _ in range(10):
+        a, pi_vec = rng.standard_normal(43), rng.standard_normal(70)
+        d_a, jac = np.zeros((70, 70)), np.zeros((70, 43))
+        for i, g in enumerate(generators):
+            for (row, col), value in g.items():
+                d_a[row, col] += a[i] * value
+                jac[row, i] += value * pi_vec[col]
+        assert np.array_equal(pitheta._derivation(rho_w, a), d_a)
+        assert np.array_equal(pitheta._jacobian_a(rho_w, pi_vec), jac)
 
 
 def test_pi_theta_keeps_exact_zeros():
