@@ -245,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("bryant-salamon", help="end-to-end rigidity computation")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--table", action="store_true", help="human-readable table output")
+    p.add_argument("--table", action="store_true", help="human-readable table output instead of JSON")
     p.set_defaults(handler=_cmd_bryant_salamon)
 
     return parser

@@ -365,8 +365,8 @@ class _Skeleton(NamedTuple):
     atoms: dict[SlotKey, Atom]
     columns: tuple[Monomial, ...]  # in _monomial_rank order: a pivot is the smallest column
     index: dict[Monomial, int]  # the column of each monomial
-    kills: tuple[tuple[str, Word], ...]  # per column: (atom name, word innermost-first)
     images: dict[str, dict[int, tuple[int, int] | None]]  # op -> column -> (column, +-1), None for 0
+    kills: tuple[frozenset[int], ...]  # per column: it and every column its images reach, which die with it
     equations: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]  # (link degree, ((column, c0, c1), ...))
 
 
@@ -397,12 +397,15 @@ def _skeleton(parity: str) -> _Skeleton:
     """What the classifications of one parity share at every rate.
 
     Columns: each atom and its words of one and two operators d, t (all the
-    Laplacians reach), in ``_monomial_rank`` order, with kill keys, and d, t
-    images for the atoms and their one-operator words, which hold every
-    equation term.  Each slot's first-order equation, in slot order, has
-    integer coefficients c0 + lambda * c1, read off the affine cone_d +
-    cone_dstar at rates 0 and 1 and checked against direct builds at 0, 1
-    and 1/2.  A term without images raises InternalCheckError.
+    Laplacians reach), in ``_monomial_rank`` order, and d, t images for the
+    atoms and their one-operator words, which hold every equation term.  An
+    image carries one more d or t, so it ranks earlier, and each column's
+    kill set (it and every column its images reach) is built in one pass in
+    column order; an image ranked no earlier raises InternalCheckError.
+    Each slot's first-order equation, in slot order, has integer
+    coefficients c0 + lambda * c1, read off the affine cone_d + cone_dstar
+    at rates 0 and 1 and checked against direct builds at 0, 1 and 1/2.  A
+    term without images raises InternalCheckError.
     """
     atoms = _parity_atoms(parity)
     level = [((), atom) for atom in atoms.values()]
@@ -431,7 +434,13 @@ def _skeleton(parity: str) -> _Skeleton:
     for m, by_op in reach.items():
         for op, image in by_op.items():
             images[op][index[m]] = image and (index[image[0], m[1]], image[1])
-    skeleton = _Skeleton(atoms, columns, index, tuple((atom.name, word[::-1]) for word, atom in columns), images, tuple(equations))
+    kills: list[frozenset[int]] = []
+    for j, (word, atom) in enumerate(columns):
+        reached = [image[0] for op in "dt" if (image := images[op].get(j))]
+        if any(k >= j for k in reached):
+            raise InternalCheckError(f"the {parity} column table ranks an image of {word} {atom.name} after it")
+        kills.append(frozenset({j}.union(*(kills[k] for k in reached))))
+    skeleton = _Skeleton(atoms, columns, index, images, tuple(kills), tuple(equations))
     for (n, q), built in builds.items():
         direct = [(k - 1 + i, {column(m): c * q for m, c in terms.items()}) for (k, i), terms in built]
         if _equations_at(skeleton, n, q) != direct:
@@ -439,58 +448,50 @@ def _skeleton(parity: str) -> _Skeleton:
     return skeleton
 
 
-def _filtered(skeleton: _Skeleton, row: _Row, rules: Relations) -> _Row:
-    """The entries whose columns no kill rule matches: ``normalize`` of canonical words."""
-    return {j: c for j, c in row.items() if not rules.killed(*skeleton.kills[j])}
-
-
-def _apply(skeleton: _Skeleton, op: str, row: _Row, live: list[bool]) -> _Row:
-    """``apply_operator`` under fixed kill-only rules: each column's image, then
-    the kill filter, read off ``live`` (per column, whether no kill matches it)."""
+def _apply(skeleton: _Skeleton, op: str, row: _Row, dead: set[int]) -> _Row:
+    """``apply_operator`` under kill-only rules: each column's image, unless it is dead."""
     images = skeleton.images[op]
     out: _Row = {}
     for j, c in row.items():
         image = images[j]
-        if image is None or not live[image[0]]:
+        if image is None or image[0] in dead:
             continue
         k, sign = image
         out[k] = out.get(k, 0) + sign * c
     return {k: c for k, c in out.items() if c}
 
 
-def _laplacian(skeleton: _Skeleton, j: int, live: list[bool]) -> _Row:
-    """``laplacian_link`` of the atom at column j under fixed kill-only rules: d t + t d."""
+def _laplacian(skeleton: _Skeleton, j: int, dead: set[int]) -> _Row:
+    """``laplacian_link`` of the atom at column j under kill-only rules: d t + t d."""
     x = {j: 1}
-    out = _apply(skeleton, "d", _apply(skeleton, "t", x, live), live)
-    for k, c in _apply(skeleton, "t", _apply(skeleton, "d", x, live), live).items():
+    out = _apply(skeleton, "d", _apply(skeleton, "t", x, dead), dead)
+    for k, c in _apply(skeleton, "t", _apply(skeleton, "d", x, dead), dead).items():
         out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
-def _promote(skeleton: _Skeleton, equations: list[_Equation], rules: Relations) -> tuple[list[_Equation], bool]:
-    """Turn single-column equations into kill rules; filter the rest by the kills."""
-    changed = False
+def _promote(skeleton: _Skeleton, equations: list[_Equation], dead: set[int]) -> list[_Equation]:
+    """Kill the column of each single-column equation, with its kill set; drop dead columns from the rest."""
     remaining: list[_Equation] = []
     for degree, row in equations:
-        row = _filtered(skeleton, row, rules)
+        row = {j: c for j, c in row.items() if j not in dead}
         if len(row) == 1:
-            ((name, inner),) = (skeleton.kills[j] for j in row)
-            changed |= rules.kill(name, [inner])
+            dead |= skeleton.kills[next(iter(row))]
         elif row:
             remaining.append((degree, row))
-    return remaining, changed
+    return remaining
 
 
-def _first_order(skeleton: _Skeleton, equations: list[_Equation], live: list[bool]) -> _LinearSystem:
+def _first_order(skeleton: _Skeleton, equations: list[_Equation], dead: set[int]) -> _LinearSystem:
     """One elimination of the promoted first-order equations with their d and d* prolongations."""
     system = _LinearSystem()
     for _, row in equations:
         system.add(row)
     for degree, row in equations:
         if degree <= 8:
-            system.add(_apply(skeleton, "d", row, live))
+            system.add(_apply(skeleton, "d", row, dead))
         if 1 <= degree <= 8:
-            system.add(_apply(skeleton, "t", row, live))
+            system.add(_apply(skeleton, "t", row, dead))
     return system
 
 
@@ -508,73 +509,68 @@ def classify_rate(parity: str, lam: Scalar | int) -> RateClassification:
     at other rates stalled slots are reported as coupled, not guessed.
 
     What does not depend on lambda is built once per parity and process
-    (``_skeleton``): the atoms, numbered monomial columns with their kill
-    keys and d, t images, and the first-order equations as integer rows.  A
+    (``_skeleton``): the atoms, numbered monomial columns with their d, t
+    images and kill sets, and the first-order equations as integer rows.  A
     call at lambda = n/q works on integer rows over the columns throughout,
-    the elimination in one ``ratmat.Echelon``.  Its relations only ever hold
-    kill words, so rewriting a term is its column's image followed by the
-    kill test, exactly where ``apply_operator`` and ``normalize`` test it.
-    Scalars are built only for the output, from integer numerators over
-    the remainder's denominator.
+    the elimination in one ``ratmat.Echelon``.  Its only relations are
+    kills, held as one set of dead columns: a kill adds a column's kill set
+    (the column and every column its images reach), and a harmonic atom's
+    kill set without the atom.  Rewriting a term is its column's image,
+    dropped when dead, exactly where ``apply_operator`` and ``normalize``
+    would drop it.  Scalars are built only for the output, from integer
+    numerators over the remainder's denominator.
 
-    Stage 2 needs no pass cap.  A pass repeats only when it added a kill
-    word; one that adds none saw the same rules throughout, and reads each
-    zero kill in the pass that added it, so another pass would settle
-    nothing.  Kill words come from verdicts (at most four per slot) and from
-    promotions (each drops an equation, and the equations never grow), so
-    some pass adds none and the loop ends.
+    Stage 2 needs no pass cap: a pass repeats only when a column died, and
+    there are finitely many columns (43 even, 38 odd).
     """
     lam = Scalar.coerce(lam)
     if not lam.is_rational():
         raise InputError("classification rates must be rational")
     skeleton = _skeleton(parity)
     rate = lam.as_fraction()
-    rules = Relations()
+    dead: set[int] = set()
     verdicts: dict[SlotKey, SlotVerdict] = {}
 
     # Stage 1: frozen second-order relations, modulo one first-order system.
-    # No kill word is added past the first promotion, so each column's kill
-    # test is read once.
-    equations, _ = _promote(skeleton, _equations_at(skeleton, rate.numerator, rate.denominator), rules)
-    live = [not rules.killed(*key) for key in skeleton.kills]
-    system = _first_order(skeleton, equations, live)
+    equations = _promote(skeleton, _equations_at(skeleton, rate.numerator, rate.denominator), dead)
+    system = _first_order(skeleton, equations, dead)
     frozen: dict[SlotKey, tuple[Scalar, _Row, int]] = {}  # (c, coupling numerators, their denominator)
     for key, atom in skeleton.atoms.items():
         j = skeleton.index[((), atom)]
-        reduced, den = system.reduce(_laplacian(skeleton, j, live))
+        reduced, den = system.reduce(_laplacian(skeleton, j, dead))
         frozen[key] = (_canonical(reduced.pop(j, 0), 0, 0, 0, den), reduced, den)
 
     # Stage 2: propagation to a fixed point (see the docstring for why it ends).
     changed = True
     while changed:
-        changed = False
+        size = len(dead)
         for key, atom in skeleton.atoms.items():
             c, coupling, _ = frozen[key]
-            if key in verdicts or _filtered(skeleton, coupling, rules):
+            if key in verdicts or not coupling.keys() <= dead:
                 continue
+            bare = skeleton.index[((), atom)]
             sign = c.sign()
             if sign < 0:
                 verdicts[key] = SlotVerdict("forced-zero", "eigenvalue", c)
-                changed |= rules.kill(atom.name, [()])
+                dead |= skeleton.kills[bare]
             elif sign == 0:
                 verdicts[key] = SlotVerdict("harmonic", coefficient=c)
-                changed |= rules.kill(atom.name, HARMONIC)
+                dead |= skeleton.kills[bare] - {bare}
 
         # Back-substitution: a first-order equation collapsing to c*x = 0,
         # which also overrules an earlier harmonic verdict.
-        equations, promoted = _promote(skeleton, equations, rules)
-        changed |= promoted
+        equations = _promote(skeleton, equations, dead)
+        changed = len(dead) > size
         for key, atom in skeleton.atoms.items():
             verdict = verdicts.get(key)
-            zero = () in rules.kills.get(atom.name, ())
-            if zero and (verdict is None or verdict.status == "harmonic"):
+            if skeleton.index[((), atom)] in dead and (verdict is None or verdict.status == "harmonic"):
                 verdicts[key] = SlotVerdict("forced-zero", "back-substitution")
 
     # A slot no rule settled stalled on c > 0 or on its live coupling.
     for key, atom in skeleton.atoms.items():
         if key not in verdicts:
             c, coupling, den = frozen[key]
-            coupling = _filtered(skeleton, coupling, rules)
+            coupling = {j: v for j, v in coupling.items() if j not in dead}
             if not coupling:
                 detail = f"Delta {atom.name} = ({c}) {atom.name}, c > 0"
             else:

@@ -85,12 +85,9 @@ class Relations:
         self.duality: dict[str, Scalar] = {} if duality is None else duality
         self.kills: dict[str, set[Word]] = {} if kills is None else kills
 
-    def kill(self, name: str, words: Iterable[Word]) -> bool:
-        """Kill the words on the named atom; True when one of them is new."""
-        known = self.kills.setdefault(name, set())
-        size = len(known)
-        known.update(words)
-        return len(known) > size
+    def kill(self, name: str, words: Iterable[Word]) -> None:
+        """Kill the words on the named atom."""
+        self.kills.setdefault(name, set()).update(words)
 
     def killed(self, name: str, inner: Word) -> bool:
         """Whether the word ``inner`` (innermost-first) dies on the named atom."""

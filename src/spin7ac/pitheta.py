@@ -175,6 +175,11 @@ def _jacobian_a(rho_w: tuple, pi_vec: np.ndarray) -> np.ndarray:
     return np.bincount(gen * 70 + row, value * pi_vec[col], 43 * 70).reshape(43, 70).T
 
 
+def _terms(vec: np.ndarray) -> dict[str, float]:
+    """The nonzero coordinates of a 4-form, keyed by its comma-joined indices."""
+    return {",".join(map(str, key)): float(vec[i]) for key, i in _INDEX4.items() if vec[i] != 0.0}
+
+
 class PiThetaResult(NamedTuple):
     """Solution of the splitting at one point.
 
@@ -190,18 +195,10 @@ class PiThetaResult(NamedTuple):
     iterations: int
 
     def zeta_terms(self) -> dict[str, float]:
-        return {
-            ",".join(map(str, key)): float(self.zeta[i])
-            for key, i in _INDEX4.items()
-            if self.zeta[i] != 0.0
-        }
+        return _terms(self.zeta)
 
     def pi_terms(self) -> dict[str, float]:
-        return {
-            ",".join(map(str, key)): float(self.pi[i])
-            for key, i in _INDEX4.items()
-            if self.pi[i] != 0.0
-        }
+        return _terms(self.pi)
 
     def theta_deviation_from_type27(self) -> float:
         t = _tables()

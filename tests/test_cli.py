@@ -202,10 +202,40 @@ for argv in [[], *{_exact_calls(tmp_path)!r}]:
     assert result.returncode == 0, result.stderr
 
 
+_PACKAGE = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
+
+
+def _parsed(paths) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _names(node: ast.AST):
+    """Every name and attribute name used in the tree of node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _unreferenced(definitions) -> list[tuple[str, ...]]:
+    """The (module, *owners, name) of each definition that ``definitions(tree)``
+    yields as (*owners, node) from a package module, and that no code in src/
+    or tests/ names outside its own body."""
+    trees = _parsed(_PACKAGE + sorted(Path(__file__).parent.glob("*.py")))
+    uses = collections.Counter(name for tree in trees.values() for name in _names(tree))
+    return [
+        (path.stem, *owners, node.name)
+        for path in _PACKAGE
+        for *owners, node in definitions(trees[path])
+        if uses[node.name] == collections.Counter(_names(node))[node.name]
+    ]
+
+
 def test_no_module_imports_dataclasses():
     imported = []
-    for path in sorted(Path(spin7ac.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _parsed(_PACKAGE).items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported += [(path.stem, a.name) for a in node.names if a.name.split(".")[0] == "dataclasses"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
@@ -215,68 +245,41 @@ def test_no_module_imports_dataclasses():
 
 def test_pi_theta_holds_the_only_function_local_import():
     # Imports belong at module level; the one exception keeps numpy out of
-    # every subcommand but pi-theta.
+    # every subcommand but pi-theta.  An import in a class body or under a
+    # module-level statement is listed too, with no function.
     local = []
-    for path in sorted(Path(spin7ac.__file__).parent.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _parsed(_PACKAGE).items():
+        owner = {}  # node -> its innermost function; ast.walk visits outer ones first
+        for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local += [
-                    (path.stem, func.name)
-                    for node in ast.walk(func)
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                ]
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        local += [
+            (path.stem, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+        ]
     assert local == [("cli", "_cmd_pi_theta")]
 
 
 def test_every_module_level_function_and_class_is_referenced():
     # A module-level function or class of spin7ac that no code in src/ or
     # tests/ names outside its own definition is dead code.
-    def names(node: ast.AST):
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                yield n.id
-            elif isinstance(n, ast.Attribute):
-                yield n.attr
-
-    package = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
-    trees.update((path, ast.parse(path.read_text(encoding="utf-8"))) for path in Path(__file__).parent.glob("*.py"))
-    uses = collections.Counter(name for tree in trees.values() for name in names(tree))
-    dead = [
-        (path.stem, node.name)
-        for path in package
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and uses[node.name] == collections.Counter(names(node))[node.name]
-    ]
-    assert dead == []
+    assert _unreferenced(lambda tree: [
+        (node,) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]) == []
 
 
 def test_every_method_is_referenced():
     # A non-dunder method of a spin7ac class that no code in src/ or tests/
     # names outside its own body is dead code.
-    def names(node: ast.AST):
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                yield n.id
-            elif isinstance(n, ast.Attribute):
-                yield n.attr
-
-    package = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
-    paths = package + sorted(Path(__file__).parent.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    uses = collections.Counter(name for tree in trees.values() for name in names(tree))
-    dead = [
-        (path.stem, cls.name, method.name)
-        for path in package
-        for cls in trees[path].body
+    assert _unreferenced(lambda tree: [
+        (cls.name, method)
+        for cls in tree.body
         if isinstance(cls, ast.ClassDef)
         for method in cls.body
         if isinstance(method, ast.FunctionDef)
         and not (method.name.startswith("__") and method.name.endswith("__"))
-        and uses[method.name] == collections.Counter(names(method))[method.name]
-    ]
-    assert dead == []
+    ]) == []
 
 
 def test_cone_op_subcommand(capsys, tmp_path):
@@ -401,6 +404,24 @@ def test_bryant_salamon_json_and_table(capsys):
     code, table_out, _ = run_cli(capsys, "bryant-salamon", "--table")
     assert code == 0
     assert "obstructed" in table_out
+
+
+# sha256 of `bryant-salamon --table` stdout, recorded while the subcommand
+# still took a --json flag alongside it.
+_BRYANT_SALAMON_TABLE_SHA256 = "c61e36426a9acd28d5de78f2ed0b3d60fa371ae980bcbf22c957d3b4584ff1a2"
+
+
+def test_bryant_salamon_table_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "bryant-salamon", "--table")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _BRYANT_SALAMON_TABLE_SHA256
+
+
+def test_bryant_salamon_has_no_json_flag(capsys):
+    # JSON is the default output; there is no flag asking for it.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bryant-salamon", "--json"])
+    assert excinfo.value.code == 2
 
 
 def test_byte_determinism(capsys):

@@ -379,11 +379,15 @@ def test_first_order_system_is_echelon(monkeypatch, parity, rate):
 
     monkeypatch.setattr(cones, "_LinearSystem", Recorded)
     skeleton = cones._skeleton(parity)
-    rules = Relations()
+    dead = set()
     rate = Fraction(rate)
-    equations, _ = cones._promote(skeleton, cones._equations_at(skeleton, rate.numerator, rate.denominator), rules)
-    system = cones._first_order(skeleton, equations, [not rules.killed(*key) for key in skeleton.kills])
+    equations = cones._promote(skeleton, cones._equations_at(skeleton, rate.numerator, rate.denominator), dead)
+    system = cones._first_order(skeleton, equations, dead)
     assert len(added) > len(equations)  # the d and d* prolongations too
+    rules = Relations()  # the dead columns as kill words
+    for j in dead:
+        word, atom = skeleton.columns[j]
+        rules.kill(atom.name, [word[::-1]])
     pivots = [pivot for pivot, _ in system.rows]
     for i, (pivot, row) in enumerate(system.rows):
         assert pivot == min(row) and row[pivot] > 0 and math.gcd(*row.values()) == 1  # content 1 at the pivot
@@ -438,13 +442,23 @@ def test_filtered_images_match_apply_operator(parity):
     skeleton = cones._skeleton(parity)
     atoms = list(skeleton.atoms.values())
     by_degree = _reachable_monomials(atoms)
-    whole_words = [word[::-1] for monomials in by_degree.values() for word, _ in monomials if word]
     rng = random.Random(30 if parity == "even" else 31)
     applied = 0
     for _ in range(300):
-        rules = Relations()
+        # The kills classify_rate makes: an atom forced to zero, an atom
+        # harmonic, or promoted columns, each as kill words and dead columns.
+        rules, dead = Relations(), set()
         for atom in rng.sample(atoms, rng.randint(0, len(atoms))):
-            rules.kill(atom.name, rng.choice([[()], CLOSED, COCLOSED, HARMONIC, rng.sample(whole_words, 2)]))
+            bare = skeleton.index[((), atom)]
+            kind = rng.choice(["zero", "harmonic", "columns"])
+            if kind == "harmonic":
+                rules.kill(atom.name, HARMONIC)
+                dead |= skeleton.kills[bare] - {bare}
+                continue
+            own = [j for j, (_, a) in enumerate(skeleton.columns) if a == atom]
+            for j in [bare] if kind == "zero" else rng.sample(own, min(2, len(own))):
+                rules.kill(atom.name, [skeleton.columns[j][0][::-1]])
+                dead |= skeleton.kills[j]
         degree = rng.choice(sorted(by_degree))
         monomials = by_degree[degree]
         picked = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
@@ -457,16 +471,46 @@ def test_filtered_images_match_apply_operator(parity):
         def terms(out, scale=60):
             return {skeleton.columns[j]: Scalar(Fraction(c, scale)) for j, c in out.items()}
 
-        assert terms(cones._filtered(skeleton, row, rules)) == normalize(expr, rules).terms
-        live = [not rules.killed(*key) for key in skeleton.kills]
+        assert terms({j: c for j, c in row.items() if j not in dead}) == normalize(expr, rules).terms
         for op in ("d", "t"):
             if row.keys() <= skeleton.images[op].keys() and ((op == "d" and degree <= 8) or (op == "t" and degree >= 1)):
-                assert terms(cones._apply(skeleton, op, row, live)) == apply_operator(expr, op, rules).terms
+                assert terms(cones._apply(skeleton, op, row, dead)) == apply_operator(expr, op, rules).terms
                 applied += bool(row)
         for atom in atoms:
             x = skeleton.index[((), atom)]
-            assert terms(cones._laplacian(skeleton, x, live), 1) == laplacian_link(LinkExpr.atom(atom), rules).terms
+            assert terms(cones._laplacian(skeleton, x, dead), 1) == laplacian_link(LinkExpr.atom(atom), rules).terms
     assert applied > 150
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_column_kills_match_the_prefix_rule(parity):
+    # A column's kill set is what killing its word kills; an atom's kill set
+    # without the atom is what HARMONIC kills on it.
+    skeleton = cones._skeleton(parity)
+
+    def matched(name, words):
+        rules = Relations()
+        rules.kill(name, words)
+        return {j for j, (word, atom) in enumerate(skeleton.columns) if rules.killed(atom.name, word[::-1])}
+
+    for j, (word, atom) in enumerate(skeleton.columns):
+        assert skeleton.kills[j] == matched(atom.name, [word[::-1]])
+    for atom in skeleton.atoms.values():
+        bare = skeleton.index[((), atom)]
+        assert skeleton.kills[bare] - {bare} == matched(atom.name, HARMONIC)
+    assert max(map(len, skeleton.kills)) > 3
+
+
+def test_skeleton_refuses_images_ranked_after_their_column(monkeypatch):
+    # Bare atoms first: every image then ranks after the column it comes from.
+    monkeypatch.setattr(cones, "_monomial_rank", lambda m: (len(m[0]), m[0], m[1].name))
+    cones._skeleton.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError, match="the even column table ranks an image of"):
+            cones._skeleton("even")
+        assert cones._skeleton.cache_info().currsize == 0
+    finally:
+        cones._skeleton.cache_clear()
 
 
 def test_skeleton_refuses_rate_laws_that_are_not_affine(monkeypatch):
@@ -532,15 +576,17 @@ def test_warm_classifications_make_no_scalar_arithmetic(monkeypatch):
         return call
 
     for owner, name in ((Scalar, "__mul__"), (Scalar, "_plus"), (Scalar, "inverse"), (scalars, "_frac"),
-                        (cones, "_image"), (linkexpr, "_rewrite")):
+                        (cones, "_image"), (linkexpr, "_rewrite"), (Relations, "kill"), (Relations, "killed")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for parity in ("even", "odd"):
         for rate in rates:
             classify_rate(parity, rate)
     assert len(rates) == 72 and calls == []
     assert cones._skeleton.cache_info().misses == builds
-    (Scalar(Fraction(1, 3)) * 2 + 1).inverse()  # the counters do see arithmetic
-    assert set(calls) == {"_frac", "__mul__", "_plus", "inverse"}
+    (Scalar(Fraction(1, 3)) * 2 + 1).inverse()  # the counters do see arithmetic and kill words
+    Relations().kill("a", HARMONIC)
+    Relations().killed("a", ("d",))
+    assert set(calls) == {"_frac", "__mul__", "_plus", "inverse", "kill", "killed"}
 
 
 # sha256 of the classify_rate JSON, even then odd, at two rates whose
