@@ -9,15 +9,18 @@ by a damped Newton iteration over the 70-dimensional unknown space
 W + Lambda^4_27, where W = R*Id + S^2_0 + Lambda^2_7 is the chosen
 complement of the stabiliser algebra inside gl(8,R) (43 + 27 = 70).  The
 Jacobian at the origin is (A, zeta) |-> gl_inf_action(A, psi0) + zeta,
-which is a linear isomorphism onto Lambda^4.
+which is a linear isomorphism onto Lambda^4.  Its inverse, formed once,
+gives Newton's start: the split's exact second-order jet in eta
+(``_jet_seed``), within O(|eta|^3) of the solution.
 
 Newton stays in the 70-dimensional space: pullback by exp(A) acts on
 Lambda^4 as exp(D_A), where D_A = rho(A) = sum a_i G_i over the 2,590
 integer nonzeros of the ``rho`` generators G_i of W, so pi = exp(D_A) psi0
 is one action of a 70x70 exponential on a vector (``exp_action``, a Taylor
-series of matvecs; Al-Mohy and Higham 2011).  ``matrix_exp`` and
-``compound4``, the 8x8 exponential and its 4x4 minors, remain as the
-independent cross-check (``pullback_vector``, ``spin7_group_element``).
+series of matvecs whose length a tail bound fixes in advance; Al-Mohy and
+Higham 2011).  ``matrix_exp`` and ``compound4``, the 8x8 exponential and
+its 4x4 minors, remain as the independent cross-check (``pullback_vector``,
+``spin7_group_element``).
 
 Everything in this module runs in binary64; exact Scalars are converted
 on entry.  D_A and the Jacobian sum each entry in the fixed order of the
@@ -44,7 +47,7 @@ EPSILON_BALL = 0.1  # admissible |eta|; Newton is well inside its basin here
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 50
 _ROUNDOFF = 2.0**-53  # binary64 unit roundoff: where exp_action's series stops
-_MAX_TERMS = 30  # per step |d/s|_1 <= 1/2, so term k is below 2^-k / k! of v
+_MAX_TERMS = 30  # never binds on finite v: 15 terms do at |d/s|_1 <= 1/2, |v|_1 <= 70 |v|_inf
 _MAX_ACTION_NORM = 1024.0  # far outside Newton's basin; bounds exp_action's steps
 _NOT_REACHED = "tol may lie below attainable binary64 accuracy, or eta outside the basin"
 
@@ -75,13 +78,30 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _taylor_terms(theta: float, v: np.ndarray) -> int:
+    """The fewest Taylor terms m of exp(d) v, |d|_1 = theta, that reach roundoff.
+
+    The tail after m terms has 1-norm at most theta^(m+1) e^theta / (m+1)!
+    |v|_1; m is the smallest count that puts it below binary64 roundoff of
+    |v|_inf, capped at _MAX_TERMS.
+    """
+    target = _ROUNDOFF * float(np.abs(v).max())
+    tail = theta * math.exp(theta) * float(np.abs(v).sum())  # the bound at m = 0
+    m = 0
+    while tail > target and m < _MAX_TERMS:
+        m += 1
+        tail *= theta / (m + 1)
+    return m
+
+
 def exp_action(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(d) @ v by a Taylor series of matvecs, without forming exp(d).
 
     d is split into s = ceil(|d|_1 / 0.5) equal steps, and each step sums
-    the series until two successive terms fall below binary64 roundoff of
-    the partial sum (the truncation rule of Al-Mohy and Higham 2011).  A d
-    with non-finite 1-norm, or one above _MAX_ACTION_NORM, gives all NaN.
+    m terms, m fixed before the series by the a-priori tail bound of
+    ``_taylor_terms`` at theta = |d|_1 / s (Al-Mohy and Higham 2011), so
+    the loop makes no reductions.  A d with non-finite 1-norm, or one above
+    _MAX_ACTION_NORM, gives all NaN.
     """
     norm = float(np.linalg.norm(d, 1))
     if not norm <= _MAX_ACTION_NORM:
@@ -89,16 +109,12 @@ def exp_action(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     steps = max(1, math.ceil(norm / 0.5))
     d = d / steps
     out = np.asarray(v, dtype=float)
+    terms = _taylor_terms(norm / steps, out)
     for _ in range(steps):
         term = out
-        previous = np.inf
-        for k in range(1, _MAX_TERMS + 1):
+        for k in range(1, terms + 1):
             term = d @ term / k
             out = out + term
-            size = float(np.abs(term).max())
-            if previous + size <= _ROUNDOFF * float(np.abs(out).max()):
-                break
-            previous = size
     return out
 
 
@@ -151,14 +167,19 @@ def _tables():
         block = np.zeros((70, kept.shape[1]))
         block[idx] = kept
         e27.append(block)
+    rho_w = (gen, row, col, value.astype(float))
+    psi_vec = _form_to_float(psi0())
+    e27 = np.hstack(e27)  # 70 x 27, orthonormal
     return {
         "w_stack": np.array(exact_w, dtype=float).reshape(43, 64),
-        "rho": (gen, row, col, value.astype(float)),
-        "e27": np.hstack(e27),  # 70 x 27, orthonormal
+        "rho": rho_w,
+        "e27": e27,
+        # the constant Jacobian J0 = [G_i psi0 | E27] at the origin, inverted once
+        "j0_inv": np.linalg.inv(np.hstack([_jacobian_a(rho_w, psi_vec), e27])),
         "p21": projector(2, 21),
         "p35": projector(4, 35),
         "p27": p27,
-        "psi_vec": _form_to_float(psi0()),
+        "psi_vec": psi_vec,
         "lambda21": np.array(table.lambda2_21_matrices, dtype=float).reshape(21, 64),
     }
 
@@ -173,6 +194,18 @@ def _jacobian_a(rho_w: tuple, pi_vec: np.ndarray) -> np.ndarray:
     """The 70x43 Jacobian block whose column i is G_i pi."""
     gen, row, col, value = rho_w
     return np.bincount(gen * 70 + row, value * pi_vec[col], 43 * 70).reshape(43, 70).T
+
+
+def _jet_seed(t: dict, eta_vec: np.ndarray) -> np.ndarray:
+    """The split's second-order jet: Newton's start, correct to O(|eta|^3).
+
+    With J0 the Jacobian at the origin, the first order is s1 = J0^-1 eta,
+    and the second solves J0 s2 = -1/2 D1^2 psi0 with D1 = rho(A1), the
+    W-part A1 of s1; the seed is s1 + s2 = J0^-1 (eta - 1/2 D1 (D1 psi0)).
+    """
+    j0_inv = t["j0_inv"]
+    d1 = _derivation(t["rho"], (j0_inv @ eta_vec)[:43])
+    return j0_inv @ (eta_vec - 0.5 * (d1 @ (d1 @ t["psi_vec"])))
 
 
 def _terms(vec: np.ndarray) -> dict[str, float]:
@@ -258,10 +291,12 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
     """Split psi0 + eta into an orbit point and a type-27 remainder.
 
     eta must be anti-self-dual with |eta| < 0.1; exact Forms are checked
-    exactly, float vectors up to roundoff.  Raises if Newton fails to
-    reach ``tol`` within 50 iterations, its backtracking stalls, or a step
-    leaves the residual above ``tol`` but at binary64 roundoff: eta lies
-    outside the basin, or tol below attainable binary64 accuracy.
+    exactly, float vectors up to roundoff.  Newton starts from the jet of
+    ``_jet_seed``, and ``iterations`` counts its steps after that start.
+    Raises if Newton fails to reach ``tol`` within 50 iterations, its
+    backtracking stalls, or a step leaves the residual above ``tol`` but at
+    binary64 roundoff: eta lies outside the basin, or tol below attainable
+    binary64 accuracy.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, not {tol!r}")
@@ -280,8 +315,8 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
     e27 = t["e27"]
     rho_w = t["rho"]
 
-    a_coeffs = np.zeros(43)
-    z_coeffs = np.zeros(27)
+    seed = _jet_seed(t, eta_vec)
+    a_coeffs, z_coeffs = seed[:43], seed[43:]
 
     def residual_vec(a_c: np.ndarray, z_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pi_vec = exp_action(_derivation(rho_w, a_c), psi_vec)

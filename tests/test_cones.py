@@ -342,6 +342,28 @@ def test_classification_sweep_is_byte_identical_to_pin():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_SWEEP_SHA256
 
 
+# sha256 of the classify_rate JSON (all even lines, then all odd) over the
+# sorted union of every rate k/q in [-12, 6] with q <= 24 (3,241 rates) and
+# 300 rationals from random.Random(3541) with numerator in +-10^6 and
+# denominator 1..10^4: the set against which the rewrites of classify_rate
+# onto integer columns and onto the column graph were compared.
+_CLASSIFY_LARGE_SHA256 = "d1599f7843f63200bec1e21993b6a0c453001f0799299cfc14bbebd48183e3bb"
+
+
+def test_classification_large_set_is_byte_identical_to_pin():
+    grid = {Fraction(k, q) for q in range(1, 25) for k in range(-12 * q, 6 * q + 1)}
+    rng = random.Random(3541)
+    large = {Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(300)}
+    rates = sorted(grid | large)
+    assert (len(grid), len(rates)) == (3241, 3541)
+    lines = [
+        json.dumps(classify_rate(parity, Scalar(rate)).to_json(), sort_keys=True)
+        for parity in ("even", "odd")
+        for rate in rates
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CLASSIFY_LARGE_SHA256
+
+
 def _reference_remainder(rows, target, width):
     """ratref's remainder of the integer row target by the span of the integer
     rows, fully back-eliminated with pivots in column order, as {column: Fraction}."""

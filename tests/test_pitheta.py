@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,14 +139,37 @@ def test_newton_matches_the_exact_second_order_jet(table):
 
     a1, a2 = (np.array(a, dtype=float).reshape(8, 8) for a in (a1, a2))
     zeta2, eta_hat = np.array(zeta2, dtype=float), np.array(eta_hat, dtype=float)
+    tables = _tables()
     errors = []
     for t in (0.08, 0.04, 0.02, 0.01):
         result = pi_theta(t * eta_hat, tol=1e-14)
         errors.append((np.abs(result.zeta - t * t * zeta2).max(),
                        np.abs(result.a_matrix - t * a1 - t * t * a2).max()))
+        # Newton's start is this jet to roundoff, so by the ratios below it
+        # lies O(t^3) from the split.
+        seed = pitheta._jet_seed(tables, t * eta_hat)
+        seed_a = (seed[:43] @ tables["w_stack"]).reshape(8, 8)
+        assert np.abs(tables["e27"] @ seed[43:] - t * t * zeta2).max() <= 2.0**-50 * t
+        assert np.abs(seed_a - t * a1 - t * t * a2).max() <= 2.0**-50 * t
     for (zeta_error, a_error), (zeta_half, a_half) in zip(errors, errors[1:]):
         assert zeta_error >= 12 * zeta_half
         assert a_error >= 6 * a_half
+
+
+def test_jet_seed_never_costs_newton_an_iteration(monkeypatch):
+    # On draws over the whole ball, most near its edge |eta| = 0.1, a split
+    # from the jet takes no more Newton steps than one from the origin, and
+    # both reach the same point.
+    rng = np.random.default_rng(115)
+    etas = [random_asd(rng, size) for size in np.concatenate(
+        [rng.uniform(0.001, 0.09, 100), rng.uniform(0.09, 0.0999, 100)])]
+    seeded = [pi_theta(eta) for eta in etas]
+    monkeypatch.setattr(pitheta, "_jet_seed", lambda t, eta_vec: np.zeros(70))
+    plain = [pi_theta(eta) for eta in etas]
+    for result, unseeded in zip(seeded, plain):
+        assert result.iterations <= unseeded.iterations
+        assert np.abs(result.a_matrix - unseeded.a_matrix).max() <= 1e-10
+    assert sum(r.iterations for r in seeded) < sum(r.iterations for r in plain)
 
 
 def test_idempotence_of_splitting():
@@ -393,6 +417,54 @@ def test_exp_action_is_pullback_by_matrix_exp():
         expected = pullback_vector(matrix_exp(a), v)
         assert np.abs(exp_action(d, v) - expected).max() <= 1e-13
     assert np.array_equal(exp_action(np.zeros((70, 70)), v), v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(exp_action(d, np.zeros(70)), np.zeros(70))
+
+
+def test_exp_action_matches_the_exact_series():
+    # exp(rho(B) / q) psi0 in Fractions, 30 Taylor terms (tail below 1e-40),
+    # for integer B in gl(8) and the q that puts |rho(B) / q|_1 just under
+    # 1/2: one step, and the most terms.  The fixed term count reaches
+    # roundoff of psi0.  B = 50 Id, where rho(B) = 200 Id, makes the tail
+    # bound tight.
+    psi = _tables()["psi_vec"]
+    rng = np.random.default_rng(116)
+    for b in [50 * np.eye(8, dtype=int)] + [rng.integers(-3, 4, (8, 8)) for _ in range(2)]:
+        action = rho(4, b.tolist())
+        rows: dict[int, list[tuple[int, int]]] = {}
+        column_sums = [0] * 70
+        for (row, col), value in action.items():
+            rows.setdefault(row, []).append((col, value))
+            column_sums[col] += abs(value)
+        q = 2 * max(column_sums) + 1
+        term = exact = [Fraction(int(x)) for x in psi]
+        for k in range(1, 31):
+            term = [
+                ratref.dot([Fraction(v, q * k) for _, v in rows.get(r, ())],
+                           [term[c] for c, _ in rows.get(r, ())])
+                for r in range(70)
+            ]
+            exact = [x + y for x, y in zip(exact, term)]
+        d = np.zeros((70, 70))
+        for (row, col), value in action.items():
+            d[row, col] = value / q
+        assert 0.49 < np.linalg.norm(d, 1) < 0.5
+        error = np.abs(exp_action(d, psi) - np.array(exact, dtype=float)).max()
+        assert error <= 4 * 2.0**-53 * np.abs(psi).sum()
+
+
+def test_taylor_terms_is_the_fewest_that_meet_the_tail_bound():
+    def tail(m, theta, v):  # bound on the 1-norm of the series after m terms
+        return theta ** (m + 1) * math.exp(theta) / math.factorial(m + 1) * np.abs(v).sum()
+
+    rng = np.random.default_rng(117)
+    for theta in (0.0, 1e-12, 1e-3, 0.01, 0.1, 0.25, 0.4999):
+        for v in (rng.standard_normal(70), _tables()["psi_vec"], np.eye(70)[5]):
+            target = 2.0**-53 * np.abs(v).max()
+            m = pitheta._taylor_terms(theta, v)
+            assert tail(m, theta, v) <= target
+            assert m == 0 or tail(m - 1, theta, v) > target
 
 
 def test_exp_action_rejects_unbounded_derivations():
