@@ -380,13 +380,8 @@ def _equations_at(skeleton: _Skeleton, n: int, q: int) -> list[_Equation]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _image(op: str, word: Word, atom: Atom) -> tuple[Word, int] | None:
-    """op on the monomial (word, atom) by the structural rules alone: (word', +-1), or None for 0.
-
-    Only ``_skeleton`` calls it, on the finitely many monomials of its column
-    tables, so the cache needs no bound.
-    """
+    """op on the monomial (word, atom) by the structural rules alone: (word', +-1), or None for 0."""
     for (image, _), coeff in apply_operator(LinkExpr.monomial(word, atom), op).terms.items():
         return image, coeff.sign()
     return None

@@ -42,7 +42,12 @@ _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _frac(x: RationalLike) -> Fraction:
-    """The one gate from inputs to Fraction: no floats or bools, bounded size."""
+    """The one gate from inputs to Fraction: no floats or bools, bounded size.
+
+    Every other value that Fraction refuses (a junk string, "1/0", a list,
+    None) raises InputError("not a rational: ..."), so a bad input rational
+    raises InputError and nothing else.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, bool)):
@@ -53,7 +58,10 @@ def _frac(x: RationalLike) -> Fraction:
             raise InputError(f"rational literal beyond {_MAX_RATIONAL_DIGITS} characters or exponent")
     elif isinstance(x, int) and not -_INT_BOUND < x < _INT_BOUND:
         raise InputError(f"integer with more than {_MAX_RATIONAL_DIGITS} digits")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputError(f"not a rational: {x!r}") from exc
 
 
 def strict_int(x: object, field: str) -> int:
@@ -328,10 +336,7 @@ class Scalar:
             parts = [obj.get(tag, 0) for tag in _SURD_KEYS]
         else:
             raise InputError(f"malformed scalar JSON: {obj!r}")
-        try:
-            return cls(*parts)  # the constructor refuses floats
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed scalar JSON: {exc}") from exc
+        return cls(*parts)  # _frac refuses every part that is not a bounded rational
 
 
 # The slot setters, bypassing Scalar.__setattr__.

@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import subprocess
 import sys
 import time
@@ -203,6 +204,9 @@ for argv in [[], *{_exact_calls(tmp_path)!r}]:
 
 
 _PACKAGE = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
+_TESTS = sorted(Path(__file__).parent.glob("*.py"))
+_PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+_DOTTED = re.compile(r"[a-z_]+\.(\w+)")
 
 
 def _parsed(paths) -> dict[Path, ast.Module]:
@@ -210,26 +214,75 @@ def _parsed(paths) -> dict[Path, ast.Module]:
 
 
 def _names(node: ast.AST):
-    """Every name and attribute name used in the tree of node."""
+    """Every name and attribute name used in the tree of node.
+
+    An import under another name uses the original name, and a string
+    "module.attr", the way perfbench names the functions it times, uses attr.
+    """
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
             yield n.attr
+        elif isinstance(n, ast.alias) and n.asname:
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and (dotted := _DOTTED.fullmatch(n.value)):
+            yield dotted[1]
 
 
-def _unreferenced(definitions) -> list[tuple[str, ...]]:
+def _unreferenced(definitions, paths) -> list[tuple[str, ...]]:
     """The (module, *owners, name) of each definition that ``definitions(tree)``
-    yields as (*owners, node) from a package module, and that no code in src/
-    or tests/ names outside its own body."""
-    trees = _parsed(_PACKAGE + sorted(Path(__file__).parent.glob("*.py")))
-    uses = collections.Counter(name for tree in trees.values() for name in _names(tree))
-    return [
-        (path.stem, *owners, node.name)
-        for path in _PACKAGE
-        for *owners, node in definitions(trees[path])
-        if uses[node.name] == collections.Counter(_names(node))[node.name]
-    ]
+    yields as (*owners, name, node) from a package module, and that no code in
+    paths names outside node."""
+    uses = collections.Counter(name for tree in _parsed(paths).values() for name in _names(tree))
+    return sorted(
+        (path.stem, *owners, name)
+        for path, tree in _parsed(_PACKAGE).items()
+        for *owners, name, node in definitions(tree)
+        if uses[name] == collections.Counter(_names(node))[name]
+    )
+
+
+def _functions_and_classes(tree: ast.Module):
+    return [(node.name, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _methods(tree: ast.Module):
+    """Each non-dunder method and each ``name = property(...)`` of a class."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                yield cls.name, node.name, node
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Name) and node.value.func.id == "property"):
+                yield cls.name, node.targets[0].id, node
+
+
+# Definitions that nothing in src/ or perfbench/ names and tests do, each with
+# the paper statement or acceptance criterion it serves.  A new one fails the
+# guards below until it is listed here with its reason, or moved or deleted.
+_TEST_ONLY = {
+    ("cones", "psi_cone"): "d psi_C = 0 on the cone iff the link is nearly parallel G2",
+    ("cones", "asd_closed_condition"): "a closed ASD 4-form of rate lambda has d alpha = -(lambda+4) star alpha",
+    ("cones", "asd_form"): "the ASD 4-form r^(lambda+3) dr ^ alpha - r^(lambda+4) star alpha of that statement",
+    ("cones", "AsdClosedCondition", "relations_for"): "that statement as link relations, harmonic at lambda = -4",
+    ("cones", "RateClassification", "survivors"): "criterion 7: the surviving slots at (even, -4) and (odd, -3)",
+    ("cones", "RateClassification", "forced_zero"): "criterion 7: the forced-zero slots at (even, -4) and (odd, -3)",
+    ("forms", "Matrix", "from_entries"): "criterion 3: the gl(8) basis whose action on psi0 has the 21-dim kernel spin(7)",
+    ("homrep", "lambda_bar_of_rate"): "the obstruction constant lambda_bar of a rate, 0 at lambda = -10/3",
+    ("homrep", "trivial_hom_data"): "the obstruction equation on the trivial representation",
+    ("homrep", "CasimirRecord", "paper_lambda_printed"): "the paper's printed rate for (1,1,0), out of range",
+    ("moduli", "mu_of_lambda"): "criterion 8: the eigenvalue dictionary mu = (lambda+4)^2 - (2/3)(lambda+4)",
+    ("pitheta", "pullback_vector"): "criterion 5: Pi is Spin(7)-equivariant",
+    ("pitheta", "spin7_group_element"): "criterion 5: the Spin(7) elements of that check",
+    ("pitheta", "PiThetaResult", "theta_deviation_from_type27"): "Theta(eta) is of type 27",
+    ("pitheta", "PiThetaResult", "a_stabiliser_component"): "the orbit part A has no spin(7) component",
+    ("projectors", "g2_phi_seven"): "criterion 10: the re-indexed e1 -| psi0 frame the A-table fails",
+    ("projectors", "Decomposition", "component"): "the type decomposition: an ASD 4-form is its own type-35 component",
+    ("projectors", "Decomposition", "nonzero_labels"): "the type decomposition: psi0 is of type 1, v -| psi0 of type 8",
+}
 
 
 def test_no_module_imports_dataclasses():
@@ -263,23 +316,20 @@ def test_pi_theta_holds_the_only_function_local_import():
 
 def test_every_module_level_function_and_class_is_referenced():
     # A module-level function or class of spin7ac that no code in src/ or
-    # tests/ names outside its own definition is dead code.
-    assert _unreferenced(lambda tree: [
-        (node,) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    ]) == []
+    # tests/ names outside its own definition is dead code; one that only
+    # tests name is listed in _TEST_ONLY.
+    assert _unreferenced(_functions_and_classes, _PACKAGE + _TESTS) == []
+    test_only = _unreferenced(_functions_and_classes, _PACKAGE + _PERFBENCH)
+    assert test_only == sorted(key for key in _TEST_ONLY if len(key) == 2)
 
 
 def test_every_method_is_referenced():
-    # A non-dunder method of a spin7ac class that no code in src/ or tests/
-    # names outside its own body is dead code.
-    assert _unreferenced(lambda tree: [
-        (cls.name, method)
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for method in cls.body
-        if isinstance(method, ast.FunctionDef)
-        and not (method.name.startswith("__") and method.name.endswith("__"))
-    ]) == []
+    # A non-dunder method or property of a spin7ac class that no code in src/
+    # or tests/ names outside its own body is dead code; one that only tests
+    # name is listed in _TEST_ONLY.
+    assert _unreferenced(_methods, _PACKAGE + _TESTS) == []
+    test_only = _unreferenced(_methods, _PACKAGE + _PERFBENCH)
+    assert test_only == sorted(key for key in _TEST_ONLY if len(key) == 3)
 
 
 def test_cone_op_subcommand(capsys, tmp_path):
@@ -648,6 +698,23 @@ def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_truncated_json_and_malformed_rationals_exit_3_with_one_line(capsys, monkeypatch):
+    # _read_json, not main, turns truncated JSON into InputError (and a file
+    # that is not UTF-8: the not-utf8 case above); scalars._frac refuses a
+    # malformed rational in a flag.
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 8, "k": 4, "terms": {"1,2'))
+    code, out, err = run_cli(capsys, "decompose", "--form", "-")
+    assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1
+    for argv, text in (
+        (["moduli-dim", "--nu=1/0"], "'1/0'"),
+        (["critical-rates", "--eigenvalues=7,x"], "'x'"),
+        (["classify-rate", "--parity", "odd", "--rate=-4/"], "'-4/'"),
+        (["enumerate", "--lo=-1", "--hi=abc"], "'abc'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: not a rational: {text}\n")
 
 
 def test_pi_theta_tol_below_roundoff_exits_3_with_one_line(capsys, tmp_path):

@@ -236,6 +236,38 @@ def test_asd_form_is_antiselfdual():
     assert starred.slot(4, "beta") == -gamma.slot(4, "beta")
 
 
+def test_shared_default_relations_stay_empty():
+    # EMPTY_RELATIONS is one mutable object, the default rules of every
+    # operator below: none of them may declare or kill anything in it.
+    def empty():
+        return (EMPTY_RELATIONS.kills, EMPTY_RELATIONS.eigen, EMPTY_RELATIONS.duality) == ({}, {}, {})
+
+    assert empty()
+    rng = random.Random(11)
+    for _ in range(10):
+        g = random_mixed_form(rng)
+        for op in (cone_d, cone_star, cone_dstar, cone_laplacian):
+            try:
+                g = op(g)
+            except InputError:  # d and d* are undefined on some formal slots
+                pass
+    for k in range(9):
+        expr = LinkExpr.atom(Atom(f"a{k}", k))
+        for op in (d_link, star_link, dstar_link, laplacian_link, normalize,
+                   *(lambda e, op=op: apply_operator(e, op) for op in "dst")):
+            try:
+                op(expr)
+            except InputError:
+                pass
+    psi_cone()
+    psi_cone(declare_nearly_parallel=False)
+    for lam in (-4, Fraction(-10, 3), 0):
+        asd_form(Atom("alpha", 3), lam)
+    for parity, lam in (("even", -4), ("odd", -3), ("even", Fraction(-7, 3)), ("odd", Fraction(-1, 2))):
+        classify_rate(parity, lam)
+    assert empty()
+
+
 def test_classification_even_minus_four():
     result = classify_rate("even", -4)
     expected_zero = {
@@ -545,37 +577,38 @@ def test_skeleton_refuses_rate_laws_that_are_not_affine(monkeypatch):
 
     monkeypatch.setattr(cones, "cone_dstar", squared)
     cones._skeleton.cache_clear()
-    cones._image.cache_clear()
     try:
         with pytest.raises(InternalCheckError):
             cones._skeleton("even")
         assert cones._skeleton.cache_info().currsize == 0
     finally:
         cones._skeleton.cache_clear()
-        cones._image.cache_clear()
 
 
 def test_warm_classifications_make_no_rewrites(monkeypatch):
     for parity in ("even", "odd"):
         classify_rate(parity, Fraction(-7, 3))
-    calls = []
-    original = linkexpr._rewrite
+    calls, images = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(calls, original):
+        def call(*args):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(linkexpr, "_rewrite", counted)
+        return call
+
+    monkeypatch.setattr(linkexpr, "_rewrite", counted(calls, linkexpr._rewrite))
+    monkeypatch.setattr(cones, "_image", counted(images, cones._image))
     rates = sorted({Fraction(k, q) for q in range(1, 7) for k in range(-6 * q + 1, 1)})
     for parity in ("even", "odd"):
         for rate in rates:
             classify_rate(parity, rate)
     assert len(rates) == 72 and calls == []
     assert cones._skeleton.cache_info().currsize == 2
-    skeleton, images = cones._skeleton.cache_info(), cones._image.cache_info()
+    skeleton = cones._skeleton.cache_info()
     with pytest.raises(InputError):
         classify_rate("mixed", -4)
-    assert cones._image.cache_info() == images
+    assert images == []
     assert cones._skeleton.cache_info().currsize == 2
     cones._skeleton("even")
     cones._skeleton("odd")

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from spin7ac.cones import classify_rate, one_form_critical_rates
 from spin7ac.errors import InputError
+from spin7ac.homrep import bryant_salamon_link_data, enumerate_candidates
+from spin7ac.moduli import lambda_of_mu, moduli_dimension
 from spin7ac.ratmat import sparse_rows
 from spin7ac.scalars import ZERO, SQRT5, SQRT581, SQRT2905, Scalar, common_numerators, int_row_sums, sqrt_rational
 
@@ -47,6 +50,49 @@ def test_field_axioms_random():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Scalar(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Scalar(1) / 0
+
+
+# Values that are not bounded rationals: each public entry point that takes a
+# rational refuses every one with InputError, never ValueError, TypeError or
+# ZeroDivisionError.
+_NOT_RATIONALS = [
+    "abc", "1/0", "-3/0", "", " ", "1/", "1/2/3", "0x10", "sqrt5", "nan",
+    [1], (1, 2), {"1": "1/2"}, None, object(), 0.5, float("nan"), True, False,
+    "1" * 601, "1e601", 10**601,
+]
+_LINK = bryant_salamon_link_data()
+_ENTRY_POINTS = {
+    "Scalar": Scalar,
+    "Scalar-surd-part": lambda x: Scalar(1, 0, x),
+    "coerce": Scalar.coerce,
+    "from_json": lambda x: Scalar.from_json({"sqrt5": x}),
+    "enumerate_candidates-lo": enumerate_candidates,
+    "enumerate_candidates-hi": lambda x: enumerate_candidates(-1, x),
+    "classify_rate": lambda x: classify_rate("even", x),
+    "moduli_dimension": lambda x: moduli_dimension(_LINK, x),
+    "lambda_of_mu": lambda_of_mu,
+    "one_form_critical_rates": lambda x: one_form_critical_rates([x]),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+def test_every_malformed_rational_is_an_input_error(entry):
+    for x in _NOT_RATIONALS:
+        with pytest.raises(InputError):
+            entry(x)
+
+
+def test_malformed_rationals_name_the_value():
+    for text in ("abc", "1/0", "", "1/2/3"):
+        with pytest.raises(InputError, match=f"^not a rational: {text!r}$"):
+            Scalar(text)
+    for obj in ("1/0", {"1": "x"}, {"sqrt581": [2]}):
+        with pytest.raises(InputError, match="^not a rational: "):
+            Scalar.from_json(obj)
+    with pytest.raises(InputError, match="^malformed scalar JSON: "):
+        Scalar.from_json([1])
 
 
 def test_sign_agrees_with_float():
