@@ -438,7 +438,7 @@ BRANCHING: dict[tuple[int, int, int], tuple[str, ...]] = {
 
 class CandidateVerdict(NamedTuple):
     record: CasimirRecord
-    common_modules: tuple[str, ...] | None  # None: no branching data
+    common_modules: tuple[str, ...]
     verdict: str  # "contributes" | "obstructed" | "no-common-subrepresentation"
     #              | "unresolved"
     contributed_dim: int
@@ -447,7 +447,7 @@ class CandidateVerdict(NamedTuple):
     def to_json(self) -> dict:
         return {
             "record": self.record.to_json(),
-            "common_modules": list(self.common_modules or ()),
+            "common_modules": list(self.common_modules),
             "verdict": self.verdict,
             "contributed_dim": self.contributed_dim,
             "notes": list(self.notes),
@@ -539,7 +539,6 @@ def bryant_salamon_pipeline() -> RigidityReport:
 
     for record in records:
         label = (record.label.k1, record.label.k2, record.label.l)
-        branching = BRANCHING.get(label)
         notes: list[str] = []
         if record.consistent_with_paper is False:
             printed = (
@@ -557,13 +556,7 @@ def bryant_salamon_pipeline() -> RigidityReport:
                 "absent from the printed candidate list despite "
                 f"Cas = {record.casimir} in (-1, 0]"
             )
-        if branching is None:
-            verdicts.append(
-                CandidateVerdict(record, None, "unresolved", 0, tuple(notes))
-            )
-            unresolved.append(f"{record.label}: no branching data")
-            continue
-        common = tuple(m for m in branching if m in E_MODULES)
+        common = tuple(m for m in BRANCHING[label] if m in E_MODULES)
         if not common:
             verdicts.append(
                 CandidateVerdict(

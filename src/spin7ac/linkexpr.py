@@ -61,7 +61,10 @@ class Atom(_AtomFields):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Atom":
-        return cls(str(obj["name"]), strict_int(obj["degree"], "atom degree"))
+        name = obj["name"]
+        if not isinstance(name, str):
+            raise InputError(f"atom name must be a string, not {type(name).__name__}")
+        return cls(name, strict_int(obj["degree"], "atom degree"))
 
 
 CLOSED: tuple[Word, ...] = (("d",),)
@@ -217,7 +220,10 @@ class LinkExpr:
         degree = strict_int(obj["degree"], "degree")
         terms: dict[tuple[Word, Atom], Scalar] = {}
         for item in obj.get("terms", []):
-            key = (tuple(item.get("ops", [])), Atom.from_json(item["atom"]))
+            ops = item.get("ops", [])
+            if not isinstance(ops, list):
+                raise InputError(f"ops must be a list of operators, not {type(ops).__name__}")
+            key = (tuple(ops), Atom.from_json(item["atom"]))
             coeff = Scalar.from_json(item["coeff"])
             terms[key] = terms.get(key, ZERO) + coeff
         # incoming words may be unreduced; canonicalize them

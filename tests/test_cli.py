@@ -213,33 +213,37 @@ def _parsed(paths) -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
-def _names(node: ast.AST):
-    """Every name and attribute name used in the tree of node.
-
-    An import under another name uses the original name, and a string
-    "module.attr", the way perfbench names the functions it times, uses attr.
-    """
+def _attributes(node: ast.AST):
+    """Every attribute name used in the tree of node (x.attr), and attr of
+    each string "module.attr", the way perfbench names the functions it times."""
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             yield n.attr
-        elif isinstance(n, ast.alias) and n.asname:
-            yield n.name
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and (dotted := _DOTTED.fullmatch(n.value)):
             yield dotted[1]
 
 
-def _unreferenced(definitions, paths) -> list[tuple[str, ...]]:
+def _names(node: ast.AST):
+    """Every attribute name and bare name used in the tree of node; an import
+    under another name uses the original name."""
+    yield from _attributes(node)
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.alias) and n.asname:
+            yield n.name
+
+
+def _unreferenced(definitions, paths, names=_names) -> list[tuple[str, ...]]:
     """The (module, *owners, name) of each definition that ``definitions(tree)``
     yields as (*owners, name, node) from a package module, and that no code in
-    paths names outside node."""
-    uses = collections.Counter(name for tree in _parsed(paths).values() for name in _names(tree))
+    paths uses outside node, by ``names``."""
+    uses = collections.Counter(name for tree in _parsed(paths).values() for name in names(tree))
     return sorted(
         (path.stem, *owners, name)
         for path, tree in _parsed(_PACKAGE).items()
         for *owners, name, node in definitions(tree)
-        if uses[name] == collections.Counter(_names(node))[name]
+        if uses[name] == collections.Counter(names(node))[name]
     )
 
 
@@ -270,7 +274,9 @@ _TEST_ONLY = {
     ("cones", "AsdClosedCondition", "relations_for"): "that statement as link relations, harmonic at lambda = -4",
     ("cones", "RateClassification", "survivors"): "criterion 7: the surviving slots at (even, -4) and (odd, -3)",
     ("cones", "RateClassification", "forced_zero"): "criterion 7: the forced-zero slots at (even, -4) and (odd, -3)",
+    ("cones", "HomogeneousConeForm", "slot"): "criterion 6: star^2 = (-1)^degree on each slot of the cone",
     ("forms", "Matrix", "from_entries"): "criterion 3: the gl(8) basis whose action on psi0 has the 21-dim kernel spin(7)",
+    ("forms", "Matrix", "entry"): "the reference pullback and gl-action of tests/formref.py, read entry by entry",
     ("homrep", "lambda_bar_of_rate"): "the obstruction constant lambda_bar of a rate, 0 at lambda = -10/3",
     ("homrep", "trivial_hom_data"): "the obstruction equation on the trivial representation",
     ("homrep", "CasimirRecord", "paper_lambda_printed"): "the paper's printed rate for (1,1,0), out of range",
@@ -280,6 +286,7 @@ _TEST_ONLY = {
     ("pitheta", "PiThetaResult", "theta_deviation_from_type27"): "Theta(eta) is of type 27",
     ("pitheta", "PiThetaResult", "a_stabiliser_component"): "the orbit part A has no spin(7) component",
     ("projectors", "g2_phi_seven"): "criterion 10: the re-indexed e1 -| psi0 frame the A-table fails",
+    ("projectors", "ProjectorTable", "projector"): "criteria 1 and 2: the exact projectors as Fractions, P^4_35 = (Id - star)/2",
     ("projectors", "Decomposition", "component"): "the type decomposition: an ASD 4-form is its own type-35 component",
     ("projectors", "Decomposition", "nonzero_labels"): "the type decomposition: psi0 is of type 1, v -| psi0 of type 8",
 }
@@ -325,10 +332,11 @@ def test_every_module_level_function_and_class_is_referenced():
 
 def test_every_method_is_referenced():
     # A non-dunder method or property of a spin7ac class that no code in src/
-    # or tests/ names outside its own body is dead code; one that only tests
-    # name is listed in _TEST_ONLY.
-    assert _unreferenced(_methods, _PACKAGE + _TESTS) == []
-    test_only = _unreferenced(_methods, _PACKAGE + _PERFBENCH)
+    # or tests/ reaches as an attribute outside its own body is dead code;
+    # one that only tests reach is listed in _TEST_ONLY.  A bare name never
+    # counts: a local of the same name is not a use of the method.
+    assert _unreferenced(_methods, _PACKAGE + _TESTS, _attributes) == []
+    test_only = _unreferenced(_methods, _PACKAGE + _PERFBENCH, _attributes)
     assert test_only == sorted(key for key in _TEST_ONLY if len(key) == 3)
 
 
@@ -673,6 +681,12 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
              {"degree": 2, "alpha": {"degree": 2, "terms": [{"coeff": "1", "atom": {"name": "a", "degree": 2}}]},
               "beta": None},
              {"degree": 2, "alpha": None}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4, "alpha":
+          {"degree": 3, "terms": [{"coeff": "1", "ops": "sd", "atom": {"name": "a", "degree": 3}}]}}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4, "alpha":
+          {"degree": 3, "terms": [{"coeff": "1", "atom": {"name": None, "degree": 3}}]}}]}),
     ],
     ids=[
         "n-not-an-integer", "float-term", "float-surd-part", "zero-denominator", "terms-list",
@@ -683,7 +697,7 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         "float-link-dim", "bool-dim-E", "float-cone-degree", "float-atom-degree",
         "bool-expr-degree", "enumerate-too-deep", "casimir-label-too-long",
         "eta-beyond-float-range", "form-key-leading-zero", "form-key-spaces",
-        "form-key-repeated", "cone-degree-repeated",
+        "form-key-repeated", "cone-degree-repeated", "ops-not-a-list", "atom-name-null",
     ],
 )
 def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):

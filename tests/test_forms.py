@@ -463,11 +463,11 @@ def test_pullback_by_rational_orthogonal_commutes_with_star():
 def test_pullback_by_stabiliser_exponential_binary64(table):
     # exp(t * a) for a in the stabiliser algebra preserves psi0 up to
     # binary64 roundoff.
-    from spin7ac.pitheta import compound4, matrix_exp, _form_to_float
+    from spin7ac.pitheta import compound4, form_to_lambda4_vector, matrix_exp
 
     a = table.lambda2_21_matrices[5]
     a_float = np.array([[float(x) for x in row] for row in a])
-    psi_vec = _form_to_float(psi0())
+    psi_vec = form_to_lambda4_vector(psi0())
     for t in (0.1, 0.02):
         g = matrix_exp(t * a_float)
         residual = np.linalg.norm(compound4(g) @ psi_vec - psi_vec)
@@ -607,7 +607,7 @@ def test_gl_inf_action_matches_finite_differences():
             value = rng.randint(-2, 2)
             antisym[(i, j)] = value
             antisym[(j, i)] = -value
-    from spin7ac.pitheta import compound4, matrix_exp, _form_to_float
+    from spin7ac.pitheta import compound4, form_to_lambda4_vector, matrix_exp
 
     for entries in (dense, antisym):
         m = Matrix.from_entries(8, entries)
@@ -616,7 +616,7 @@ def test_gl_inf_action_matches_finite_differences():
         basis = monomial_basis(8, 4)
         exact_vec = np.array([float(c) for c in form_to_coefficients(exact, basis)])
         m_float = np.array([[float(x) for x in row] for row in m.rows])
-        a_vec = _form_to_float(a)
+        a_vec = form_to_lambda4_vector(a)
         errors = []
         for t in (1e-4, 1e-5):
             diff = (compound4(matrix_exp(t * m_float)) @ a_vec - a_vec) / t
@@ -665,7 +665,7 @@ def test_norm_squared():
 
 
 def test_form_to_float_matches_dense_conversion():
-    from spin7ac.pitheta import _form_to_float
+    from spin7ac.pitheta import form_to_lambda4_vector
 
     rng = random.Random(581)
     surds = (Scalar(1), Scalar.sqrt5(), Scalar.sqrt581(), Scalar.sqrt2905())
@@ -676,7 +676,7 @@ def test_form_to_float_matches_dense_conversion():
     }
     a = Form(8, 4, terms)
     dense = np.array([float(c) for c in form_to_coefficients(a, basis)])
-    assert np.array_equal(_form_to_float(a), dense)
+    assert np.array_equal(form_to_lambda4_vector(a), dense)
 
 
 def test_symbolic_modules_import_without_numpy():
