@@ -45,7 +45,7 @@ from .linkexpr import (
 )
 from .moduli import Rate, indicial_roots
 from .ratmat import Echelon as _LinearSystem
-from .scalars import ZERO, Scalar, _canonical, strict_int
+from .scalars import ZERO, Scalar, _canonical, json_field, strict_int
 
 
 class _ConeFormFields(NamedTuple):
@@ -136,7 +136,7 @@ class HomogeneousConeForm(_ConeFormFields):
         comps: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
         try:
             rate = Scalar.from_json(obj["rate"])
-            for item in obj.get("components", []):
+            for item in json_field(obj, "components", list, []):
                 alpha = item.get("alpha")
                 beta = item.get("beta")
                 degree = strict_int(item["degree"], "cone degree")

@@ -155,9 +155,6 @@ class Form:
             return NotImplemented
         return self.n == other.n and self.k == other.k and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, tuple(sorted(self.terms.items()))))
-
     def __add__(self, other: "Form") -> "Form":
         self._check_match(other)
         terms = dict(self.terms)
@@ -175,11 +172,6 @@ class Form:
     def scale(self, factor: Scalar | int) -> "Form":
         f = Scalar.coerce(factor)
         return Form._from_valid(self.n, self.k, {key: value * f for key, value in self.terms.items()})
-
-    def __mul__(self, factor: Scalar | int) -> "Form":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def _check_match(self, other: "Form") -> None:
         if self.n != other.n:

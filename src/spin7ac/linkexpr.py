@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
-from .scalars import ONE, ZERO, Scalar, strict_int
+from .scalars import ONE, ZERO, Scalar, json_field, strict_int
 
 Word = tuple[str, ...]
 
@@ -61,10 +61,7 @@ class Atom(_AtomFields):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Atom":
-        name = obj["name"]
-        if not isinstance(name, str):
-            raise InputError(f"atom name must be a string, not {type(name).__name__}")
-        return cls(name, strict_int(obj["degree"], "atom degree"))
+        return cls(json_field(obj, "name", str), strict_int(obj["degree"], "atom degree"))
 
 
 CLOSED: tuple[Word, ...] = (("d",),)
@@ -190,9 +187,6 @@ class LinkExpr:
             return NotImplemented
         return self.degree == other.degree and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.degree, tuple(sorted(self.terms.items()))))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return f"LinkExpr({self.degree}, 0)"
@@ -219,11 +213,8 @@ class LinkExpr:
     def from_json(cls, obj: Mapping) -> "LinkExpr":
         degree = strict_int(obj["degree"], "degree")
         terms: dict[tuple[Word, Atom], Scalar] = {}
-        for item in obj.get("terms", []):
-            ops = item.get("ops", [])
-            if not isinstance(ops, list):
-                raise InputError(f"ops must be a list of operators, not {type(ops).__name__}")
-            key = (tuple(ops), Atom.from_json(item["atom"]))
+        for item in json_field(obj, "terms", list, []):
+            key = (tuple(json_field(item, "ops", list, [])), Atom.from_json(item["atom"]))
             coeff = Scalar.from_json(item["coeff"])
             terms[key] = terms.get(key, ZERO) + coeff
         # incoming words may be unreduced; canonicalize them

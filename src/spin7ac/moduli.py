@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .errors import InputError
-from .scalars import Scalar, sqrt_rational, strict_int
+from .scalars import Scalar, json_field, sqrt_rational, strict_int
 
 MU_LOWER_BOUND = Fraction(-1, 9)  # minimum of mu over lambda in (-4, 0)
 _X_ARGMIN = Fraction(1, 3)  # where it is taken: lambda + 4 = 1/3
@@ -147,17 +147,15 @@ class LinkData(_LinkDataFields):
                 Contribution(
                     rate=scalar_of(item["lambda"]),
                     dim=strict_int(item["dim_E"], "dim_E"),
-                    source=str(item.get("source", "")),
+                    source=json_field(item, "source", str, ""),
                 )
-                for item in obj.get("contributions", [])
+                for item in json_field(obj, "contributions", list, [])
             )
             fields = dict(
-                name=str(obj.get("name", "")),
+                name=json_field(obj, "name", str, ""),
                 dim_h4_minus_l2=strict_int(obj["dim_h4_minus_L2"], "dim_h4_minus_L2"),
                 dim_im_upsilon4=strict_int(obj["dim_im_upsilon4"], "dim_im_upsilon4"),
-                critical_rates=tuple(
-                    scalar_of(x) for x in obj.get("critical_rates", [])
-                ),
+                critical_rates=tuple(scalar_of(x) for x in json_field(obj, "critical_rates", list, [])),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed link data: {exc}") from exc

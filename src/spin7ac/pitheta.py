@@ -20,9 +20,9 @@ Lambda^4 as exp(D_A), where D_A = rho(A) = sum a_i G_i over the 2,590
 integer nonzeros of the ``rho`` generators G_i of W, so pi = exp(D_A) psi0
 is one action of a 70x70 exponential on a vector (``exp_action``, a Taylor
 series of matvecs whose length a tail bound fixes in advance; Al-Mohy and
-Higham 2011).  ``matrix_exp`` and ``compound4``, the 8x8 exponential and
-its 4x4 minors, remain as the independent cross-check (``pullback_vector``,
-``spin7_group_element``).
+Higham 2011).  It is the module's one exponential: exp_action(X, I8) is
+the group element exp(X), and ``compound4``, its 4x4 minors, gives the
+independent cross-check Lambda^4(exp X) = exp(rho(X)).
 
 Everything in this module runs in binary64; exact Scalars are converted
 on entry.  D_A and the Jacobian sum each entry in the fixed order of the
@@ -58,34 +58,13 @@ _INDEX4 = {key: i for i, key in enumerate(_BASIS4)}
 _ROWS = np.array(_BASIS4) - 1  # (70, 4), 0-based
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """The matrix exponential by scaling-and-squaring with a fixed-order series.
-
-    Relative error below 1e-12 for |m| <= 1 (the only regime we use).
-    """
-    m = np.asarray(m, dtype=float)
-    norm = np.linalg.norm(m, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        m = m / (2.0**squarings)
-    n = m.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 19):
-        term = term @ m / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _taylor_terms(theta: float, v: np.ndarray) -> int:
     """The fewest Taylor terms m of exp(d) v, |d|_1 = theta, that reach roundoff.
 
     The tail after m terms has 1-norm at most theta^(m+1) e^theta / (m+1)!
-    |v|_1; m is the smallest count that puts it below binary64 roundoff of
-    |v|_inf, capped at _MAX_TERMS.
+    |v|_1, with |v|_1 the sum of all |entries| (for a matrix v, a bound on
+    each column's); m is the smallest count that puts it below binary64
+    roundoff of |v|_inf, capped at _MAX_TERMS.
     """
     target = _ROUNDOFF * float(np.abs(v).max())
     tail = theta * math.exp(theta) * float(np.abs(v).sum())  # the bound at m = 0
@@ -99,11 +78,12 @@ def _taylor_terms(theta: float, v: np.ndarray) -> int:
 def exp_action(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(d) @ v by a Taylor series of matvecs, without forming exp(d).
 
-    d is split into s = ceil(|d|_1 / 0.5) equal steps, and each step sums
-    m terms, m fixed before the series by the a-priori tail bound of
-    ``_taylor_terms`` at theta = |d|_1 / s (Al-Mohy and Higham 2011), so
-    the loop makes no reductions.  A d with non-finite 1-norm, or one above
-    _MAX_ACTION_NORM, gives all NaN.
+    v is a vector or a matrix, so exp_action(d, I) is exp(d).  d is split
+    into s = ceil(|d|_1 / 0.5) equal steps, and each step sums m terms, m
+    fixed before the series by the a-priori tail bound of ``_taylor_terms``
+    at theta = |d|_1 / s (Al-Mohy and Higham 2011), so the loop makes no
+    reductions.  A d with non-finite 1-norm, or one above _MAX_ACTION_NORM,
+    gives all NaN.
     """
     norm = float(np.linalg.norm(d, 1))
     if not norm <= _MAX_ACTION_NORM:
@@ -137,8 +117,8 @@ def _tables():
     ``rho`` holds the nonzeros of rho(4, B) for the 43 W-basis elements B
     as (generator, row, col, value) arrays, generator ascending: every
     ``np.bincount`` over them sums each bin in that order, whatever BLAS
-    the host has.  ``w_stack`` and ``lambda21`` are the W and Lambda^2_21
-    bases as (43, 64) and (21, 64) stacks of row-major 8x8 matrices.
+    the host has.  ``w_stack`` is the W basis as a (43, 64) stack of
+    row-major 8x8 matrices.
     """
     table = build_projectors()
     exact_w = [identity(8)] + sym0_matrix_basis() + table.lambda2_7_matrices
@@ -174,7 +154,6 @@ def _tables():
         "p35": projector(4, 35),
         "p27": p27,
         "psi_vec": psi_vec,
-        "lambda21": np.array(table.lambda2_21_matrices, dtype=float).reshape(21, 64),
     }
 
 
@@ -349,15 +328,3 @@ def pi_theta(eta: Form | np.ndarray, tol: float = DEFAULT_TOL) -> PiThetaResult:
         iterations=iterations,
     )
 
-
-def pullback_vector(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pullback action of an 8x8 float matrix on Lambda^4 coefficients."""
-    return compound4(np.asarray(g, dtype=float)) @ np.asarray(v, dtype=float)
-
-
-def spin7_group_element(coeffs: np.ndarray) -> np.ndarray:
-    """exp of the Lambda^2_21 combination with the given 21 coefficients."""
-    basis = _tables()["lambda21"]
-    if len(coeffs) != len(basis):
-        raise InputError(f"expected {len(basis)} coefficients")
-    return matrix_exp((np.asarray(coeffs, dtype=float) @ basis).reshape(8, 8))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import InputError
 
@@ -69,6 +69,14 @@ def strict_int(x: object, field: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise InputError(f"{field} must be an integer, not {type(x).__name__}")
     return x
+
+
+def json_field(obj: Mapping, key: str, kind: type, default: object = None):
+    """obj[key], or ``default`` where it is absent: a JSON value of type ``kind``."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise InputError(f"{key} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 def _sign(p: int) -> int:

@@ -59,7 +59,7 @@ from spin7ac.moduli import (
     moduli_dimension,
     mu_of_lambda,
 )
-from spin7ac.pitheta import pi_theta, pullback_vector, spin7_group_element, _tables
+from spin7ac.pitheta import compound4, exp_action, pi_theta, _tables
 from spin7ac.projectors import (
     build_projectors,
     g2_phi_seven,
@@ -171,13 +171,14 @@ def test_criterion_05_pi_theta():
         ratio_ok = ratio_ok and ratios[1] <= 0.2 * ratios[0] and ratios[2] <= 0.2 * ratios[1]
 
     equivariance_ok = True
+    spin7 = np.array(build_projectors().lambda2_21_matrices, dtype=float).reshape(21, 64)
     for _ in range(10):
         eta = random_asd(0.04)
         coeffs = rng.standard_normal(21)
         coeffs *= 0.4 / np.linalg.norm(coeffs)
-        g = spin7_group_element(coeffs)
-        lhs = pullback_vector(g, pi_theta(eta).pi)
-        rhs = pi_theta(pullback_vector(g, eta)).pi
+        g = compound4(exp_action((coeffs @ spin7).reshape(8, 8), np.eye(8)))
+        lhs = g @ pi_theta(eta).pi
+        rhs = pi_theta(g @ eta).pi
         equivariance_ok = equivariance_ok and np.linalg.norm(lhs - rhs) <= 1e-8
 
     elapsed = time.monotonic() - start

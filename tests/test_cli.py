@@ -4,6 +4,7 @@ import ast
 import collections
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -213,6 +214,39 @@ def _parsed(paths) -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
+def test_the_benchmark_entry_points_resolve_in_src():
+    # perfbench/ looks spin7ac up by name at run time, and only its own
+    # self-test calls it: every function of worker.OPS, every _library
+    # name, the Scalar methods and ProjectorTable.apply that layertrace
+    # wraps through vars(), and pitheta.compound4, which its self-test
+    # compares with its own minors.  A deletion in src/ that breaks one
+    # fails here.  The names come from a child that imports worker and
+    # layertrace without writing bytecode; an f-string _library name is an
+    # OPS name too.
+    script = "import json, layertrace, worker; " \
+        "print(json.dumps([[op[1] for op in worker.OPS.values()], layertrace._SCALAR_METHODS]))"
+    result = subprocess.run([sys.executable, "-B", "-c", script], cwd=_PERFBENCH[0].parent,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    ops, scalar_methods = json.loads(result.stdout)
+    library = {
+        node.args[0].value
+        for tree in _parsed(_PERFBENCH).values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_library"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert library and set(ops) >= {"pitheta.pi_theta", "cones.cone_d"}
+
+    def resolve(name: str):
+        module, attr = name.split(".")
+        return getattr(importlib.import_module(f"spin7ac.{module}"), attr, None)
+
+    assert [name for name in sorted(library | set(ops)) if not callable(resolve(name))] == []
+    assert [name for name in scalar_methods if name not in vars(resolve("scalars.Scalar"))] == []
+    assert callable(vars(resolve("projectors.ProjectorTable")).get("apply"))
+    assert callable(resolve("pitheta.compound4"))
+
+
 def _attributes(node: ast.AST):
     """Every attribute name used in the tree of node (x.attr), and attr of
     each string "module.attr", the way perfbench names the functions it times."""
@@ -281,8 +315,6 @@ _TEST_ONLY = {
     ("homrep", "trivial_hom_data"): "the obstruction equation on the trivial representation",
     ("homrep", "CasimirRecord", "paper_lambda_printed"): "the paper's printed rate for (1,1,0), out of range",
     ("moduli", "mu_of_lambda"): "criterion 8: the eigenvalue dictionary mu = (lambda+4)^2 - (2/3)(lambda+4)",
-    ("pitheta", "pullback_vector"): "criterion 5: Pi is Spin(7)-equivariant",
-    ("pitheta", "spin7_group_element"): "criterion 5: the Spin(7) elements of that check",
     ("pitheta", "PiThetaResult", "theta_deviation_from_type27"): "Theta(eta) is of type 27",
     ("pitheta", "PiThetaResult", "a_stabiliser_component"): "the orbit part A has no spin(7) component",
     ("projectors", "g2_phi_seven"): "criterion 10: the re-indexed e1 -| psi0 frame the A-table fails",
@@ -687,6 +719,17 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         (["cone-op", "--op", "d", "--form"],
          {"rate": "0", "components": [{"degree": 4, "alpha":
           {"degree": 3, "terms": [{"coeff": "1", "atom": {"name": None, "degree": 3}}]}}]}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0,
+          "contributions": [{"lambda": "-10/3", "dim_E": 1, "source": None}]}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0, "contributions": {}}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0, "critical_rates": "12"}),
+        (["moduli-dim", "--nu=-1", "--link"], {"name": 5, "dim_h4_minus_L2": 0, "dim_im_upsilon4": 0}),
+        (["cone-op", "--op", "d", "--form"], {"rate": "0", "components": ""}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4, "alpha": None, "beta": {"degree": 4, "terms": {}}}]}),
     ],
     ids=[
         "n-not-an-integer", "float-term", "float-surd-part", "zero-denominator", "terms-list",
@@ -698,6 +741,8 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         "bool-expr-degree", "enumerate-too-deep", "casimir-label-too-long",
         "eta-beyond-float-range", "form-key-leading-zero", "form-key-spaces",
         "form-key-repeated", "cone-degree-repeated", "ops-not-a-list", "atom-name-null",
+        "link-source-null", "link-contributions-object", "link-rates-string", "link-name-not-a-string",
+        "cone-components-string", "expr-terms-object",
     ],
 )
 def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):

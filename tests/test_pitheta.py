@@ -19,10 +19,7 @@ from spin7ac.pitheta import (
     compound4,
     exp_action,
     form_to_lambda4_vector,
-    matrix_exp,
     pi_theta,
-    pullback_vector,
-    spin7_group_element,
     _tables,
 )
 from spin7ac.scalars import Scalar
@@ -34,11 +31,17 @@ def random_asd(rng: np.random.Generator, norm: float) -> np.ndarray:
     return v * (norm / np.linalg.norm(v))
 
 
+def spin7_basis() -> np.ndarray:
+    """The Lambda^2_21 = spin(7) basis as a (21, 64) stack of row-major 8x8 matrices."""
+    return np.array(build_projectors().lambda2_21_matrices, dtype=float).reshape(21, 64)
+
+
 def test_matrix_exp_zero_and_diagonal():
-    assert np.allclose(matrix_exp(np.zeros((8, 8))), np.eye(8), atol=1e-15)
+    # The 8x8 exponential is exp_action on the identity.
+    assert np.allclose(exp_action(np.zeros((8, 8)), np.eye(8)), np.eye(8), atol=1e-15)
     d = np.zeros((8, 8))
     d[0, 0] = math.log(2.0)
-    out = matrix_exp(d)
+    out = exp_action(d, np.eye(8))
     assert abs(out[0, 0] - 2.0) < 1e-12
     assert np.allclose(out[1:, 1:], np.eye(7), atol=1e-15)
 
@@ -48,7 +51,7 @@ def test_matrix_exp_inverse_identity():
     for _ in range(10):
         m = rng.standard_normal((8, 8))
         m /= max(1.0, np.linalg.norm(m, 1))
-        prod = matrix_exp(m) @ matrix_exp(-m)
+        prod = exp_action(m, np.eye(8)) @ exp_action(-m, np.eye(8))
         assert np.linalg.norm(prod - np.eye(8)) < 1e-10
 
 
@@ -190,9 +193,9 @@ def test_equivariance_under_stabiliser():
         eta = random_asd(rng, 0.04)
         coeffs = rng.standard_normal(21)
         coeffs *= 0.5 / np.linalg.norm(coeffs)
-        g = spin7_group_element(coeffs)
-        lhs = pullback_vector(g, pi_theta(eta).pi)
-        rhs = pi_theta(pullback_vector(g, eta)).pi
+        g = compound4(exp_action((coeffs @ spin7_basis()).reshape(8, 8), np.eye(8)))
+        lhs = g @ pi_theta(eta).pi
+        rhs = pi_theta(g @ eta).pi
         assert np.linalg.norm(lhs - rhs) <= 10 * DEFAULT_TOL
 
 
@@ -211,7 +214,7 @@ def test_a_stabiliser_component_is_the_projection_norm():
     rng = np.random.default_rng(109)
     zero = np.zeros(70)
     for _ in range(5):
-        spin7 = (rng.standard_normal(21) @ t["lambda21"]).reshape(8, 8)
+        spin7 = (rng.standard_normal(21) @ spin7_basis()).reshape(8, 8)
         w = (rng.standard_normal(43) @ t["w_stack"]).reshape(8, 8)
         for a, expected in ((spin7, np.linalg.norm(spin7)), (w, 0.0)):
             result = PiThetaResult(a_matrix=a, zeta=zero, pi=zero, residual=0.0, iterations=0)
@@ -429,7 +432,7 @@ def test_exp_action_is_pullback_by_matrix_exp():
         a *= size / np.linalg.norm(a, 1)
         v = rng.standard_normal(70)
         d = np.tensordot(a.reshape(64), generators, 1)
-        expected = pullback_vector(matrix_exp(a), v)
+        expected = compound4(exp_action(a, np.eye(8))) @ v
         assert np.abs(exp_action(d, v) - expected).max() <= 1e-13
     assert np.array_equal(exp_action(np.zeros((70, 70)), v), v)
     with warnings.catch_warnings():
@@ -438,35 +441,46 @@ def test_exp_action_is_pullback_by_matrix_exp():
 
 
 def test_exp_action_matches_the_exact_series():
-    # exp(rho(B) / q) psi0 in Fractions, 30 Taylor terms (tail below 1e-40),
-    # for integer B in gl(8) and the q that puts |rho(B) / q|_1 just under
-    # 1/2: one step, and the most terms.  The fixed term count reaches
-    # roundoff of psi0.  B = 50 Id, where rho(B) = 200 Id, makes the tail
-    # bound tight.
+    # exp(M / q) v in Fractions, 30 Taylor terms (tail below 1e-40), for
+    # integer M and the q that puts |M / q|_1 just under 1/2: one step, and
+    # the most terms.  The fixed term count reaches roundoff of v.  M is
+    # rho(B) on v = psi0 for integer B in gl(8), where B = 50 Id, with
+    # rho(B) = 200 Id, makes the tail bound tight; or an integer 8x8 M on
+    # the matrix operand v = I8, where exp_action is exp(M / q) itself.
     psi = _tables()["psi_vec"]
     rng = np.random.default_rng(116)
-    for b in [50 * np.eye(8, dtype=int)] + [rng.integers(-3, 4, (8, 8)) for _ in range(2)]:
-        action = rho(4, b.tolist())
+    cases = [
+        (rho(4, b.tolist()), psi)
+        for b in [50 * np.eye(8, dtype=int)] + [rng.integers(-3, 4, (8, 8)) for _ in range(2)]
+    ]
+    m = rng.integers(-9, 10, (8, 8))
+    cases.append(({(r, c): int(m[r, c]) for r, c in zip(*np.nonzero(m))}, np.eye(8)))
+    for action, v in cases:
+        n = len(v)
         rows: dict[int, list[tuple[int, int]]] = {}
-        column_sums = [0] * 70
+        column_sums = [0] * n
         for (row, col), value in action.items():
             rows.setdefault(row, []).append((col, value))
             column_sums[col] += abs(value)
         q = 2 * max(column_sums) + 1
-        term = exact = [Fraction(int(x)) for x in psi]
-        for k in range(1, 31):
-            term = [
-                ratref.dot([Fraction(v, q * k) for _, v in rows.get(r, ())],
-                           [term[c] for c, _ in rows.get(r, ())])
-                for r in range(70)
-            ]
-            exact = [x + y for x, y in zip(exact, term)]
-        d = np.zeros((70, 70))
+        exact = []
+        for column in np.reshape(v, (n, -1)).T:
+            term = series = [Fraction(int(x)) for x in column]
+            for k in range(1, 31):
+                term = [
+                    ratref.dot([Fraction(value, q * k) for _, value in rows.get(r, ())],
+                               [term[c] for c, _ in rows.get(r, ())])
+                    for r in range(n)
+                ]
+                series = [x + y for x, y in zip(series, term)]
+            exact.append(series)
+        d = np.zeros((n, n))
         for (row, col), value in action.items():
             d[row, col] = value / q
         assert 0.49 < np.linalg.norm(d, 1) < 0.5
-        error = np.abs(exp_action(d, psi) - np.array(exact, dtype=float)).max()
-        assert error <= 4 * 2.0**-53 * np.abs(psi).sum()
+        expected = np.array(exact, dtype=float).T.reshape(np.shape(v))
+        error = np.abs(exp_action(d, v) - expected).max()
+        assert error <= 4 * 2.0**-53 * np.abs(v).sum()
 
 
 def test_taylor_terms_is_the_fewest_that_meet_the_tail_bound():
@@ -493,7 +507,7 @@ def test_pi_is_pullback_of_psi0_by_exp_a():
     psi_vec = _tables()["psi_vec"]
     for _ in range(30):
         result = pi_theta(random_asd(rng, rng.uniform(0.001, 0.099)))
-        expected = pullback_vector(matrix_exp(result.a_matrix), psi_vec)
+        expected = compound4(exp_action(result.a_matrix, np.eye(8))) @ psi_vec
         assert np.abs(result.pi - expected).max() <= 1e-14
 
 
