@@ -227,12 +227,11 @@ def cone_laplacian(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -
 # -- nearly parallel structure and ASD characterization -------------------
 
 
-def psi_cone(declare_nearly_parallel: bool = True) -> tuple[HomogeneousConeForm, Relations]:
+def psi_cone() -> tuple[HomogeneousConeForm, Relations]:
     """psi_C = r^3 dr ^ phi + r^4 *phi as a rate-0 homogeneous 4-form."""
     phi = Atom("phi", 3)
     rules = Relations()
-    if declare_nearly_parallel:
-        rules.declare_duality(phi, 4)
+    rules.declare_duality(phi, 4)
     expr = LinkExpr.atom(phi)
     gamma = HomogeneousConeForm.build(
         0, {4: (expr, star_link(expr, rules))}

@@ -23,6 +23,15 @@ Words are stored outermost-first: ('d', 's') applied to a means d(s(a)).
 Atoms of degree 8 are formal bookkeeping slots (a 7-manifold has no
 8-forms); expressions of degree up to 9 may appear transiently inside the
 classification engine, where they are only ever equated to zero.
+
+All rewriting is one loop over a work list of (word, atom, coefficient)
+items: reduce the word innermost-first by the identities above (a zero
+drops the item), check the kill words, then queue what a relation firing
+on the innermost letters leaves, or else add the term to the result.  It
+ends: duality turns an innermost d into s (one d fewer, no letter more),
+and an eigenform turns the innermost (d s d s) into (s d s d), which fires
+nothing, plus the word four letters shorter; queued words are reduced
+already, at the old degrees, so their reduction bridges no d* into d.
 """
 
 from __future__ import annotations
@@ -33,8 +42,6 @@ from .errors import InputError
 from .scalars import ONE, ZERO, Scalar, json_field, strict_int
 
 Word = tuple[str, ...]
-
-_MAX_REWRITE_DEPTH = 60
 
 
 class _AtomFields(NamedTuple):
@@ -77,13 +84,13 @@ class Relations:
     atom vanishes when its innermost operators start with one of them, and
     the empty word kills the atom itself.  ``eigen[name] = mu`` declares
     Delta a = mu a, ``duality[name] = c`` declares d a = c * (s a).
-    Each argument left out starts as a fresh dict.
+    Each starts as a fresh dict, ``eigen`` unless one is passed.
     """
 
-    def __init__(self, eigen: dict | None = None, duality: dict | None = None, kills: dict | None = None) -> None:
+    def __init__(self, eigen: dict | None = None) -> None:
         self.eigen: dict[str, Scalar] = {} if eigen is None else eigen
-        self.duality: dict[str, Scalar] = {} if duality is None else duality
-        self.kills: dict[str, set[Word]] = {} if kills is None else kills
+        self.duality: dict[str, Scalar] = {}
+        self.kills: dict[str, set[Word]] = {}
 
     def kill(self, name: str, words: Iterable[Word]) -> None:
         """Kill the words on the named atom."""
@@ -94,7 +101,10 @@ class Relations:
         return any(inner[: len(word)] == word for word in self.kills.get(name, ()))
 
     def declare_duality(self, atom: Atom, coeff: Scalar | int) -> None:
-        """Declare d a = coeff * (s a); for coeff != 0 also kill d s a = (1/coeff) d d a."""
+        """Declare d a = coeff * (s a) on a 3-form, the one degree where both
+        sides agree; for coeff != 0 also kill d s a = (1/coeff) d d a."""
+        if atom.degree != 3:
+            raise InputError(f"duality d a = c * (s a) needs a 3-form, not degree {atom.degree}")
         coeff = Scalar.coerce(coeff)
         self.duality[atom.name] = coeff
         if not coeff.is_zero():
@@ -224,124 +234,82 @@ class LinkExpr:
 # -- normalization --------------------------------------------------------
 
 
-def _normalize_applied(
-    applied: list[str],
-    atom: Atom,
-    coeff: Scalar,
-    rules: Relations,
-    depth: int,
-) -> dict[tuple[Word, Atom], Scalar]:
-    """Rule rewriting on a structurally reduced word (innermost-first list)."""
-    inner = tuple(applied)
-    if rules.killed(atom.name, inner):
-        return {}
-    if applied and applied[0] == "d":
-        c = rules.duality.get(atom.name)
-        if c is not None:
-            # d a -> c * (s a); re-run the remaining operators on top.
-            rest = list(reversed(applied[1:]))  # back to outermost-first
-            return _apply_ops(rest, ["s"], atom, coeff * c, rules, depth + 1)
-        if inner[:4] == ("d", "s", "d", "s"):
-            mu = rules.eigen.get(atom.name)
-            if mu is not None:
-                if atom.degree > 6:
-                    raise InputError(
-                        "eigenform relations are supported for degrees 0..6"
-                    )
-                # Laplace eigenform: (-1)^k (d s d s - s d s d) a = mu a,
-                # oriented to rewrite the word with innermost letter d:
-                # [d,s,d,s] prefix (= s d s d outermost) ->
-                #     [s,d,s,d] prefix - (-1)^k mu * (no ops).
-                # For a 0-form the first summand is d(d* a) = 0.
-                sign = -1 if atom.degree % 2 else 1
-                rest = list(reversed(applied[4:]))  # back to outermost-first
-                if atom.degree == 0:
-                    out = {}
-                else:
-                    out = _apply_ops(
-                        rest, ["s", "d", "s", "d"], atom, coeff, rules, depth + 1
-                    )
-                tail = _apply_ops(rest, [], atom, coeff * (-sign) * mu, rules, depth + 1)
-                for key, value in tail.items():
-                    out[key] = out.get(key, ZERO) + value
-                return out
-    return {(inner[::-1], atom): coeff}
-
-
-def _apply_ops(
-    pending_outer: list[str],
-    applied: list[str],
-    atom: Atom,
-    coeff: Scalar,
-    rules: Relations,
-    depth: int,
-) -> dict[tuple[Word, Atom], Scalar]:
-    """Structurally reduce, innermost-first; then fire relation rules.
-
-    ``pending_outer`` holds operators still to apply (outermost-first
-    order, consumed from the end), ``applied`` the already-reduced inner
-    part (innermost-first).
-    """
-    if depth > _MAX_REWRITE_DEPTH:  # pragma: no cover
-        raise InputError("rewrite depth exceeded; relations do not terminate")
-    pending = list(pending_outer)
-    applied = list(applied)
-    degree = _word_degree(applied, atom.degree)
-    while pending:
-        op = pending.pop()
-        if op == "s":
-            if not 0 <= degree <= 7:
-                raise InputError(f"star undefined on degree {degree}")
-            if applied and applied[-1] == "s":
-                applied.pop()
-            else:
-                applied.append("s")
-            degree = 7 - degree
-        elif op == "d":
-            if applied and applied[-1] == "d":
-                return {}
-            if degree >= 9:
-                raise InputError(f"d applied to degree {degree}")
-            applied.append("d")
-            degree += 1
-        elif op == "t":
-            if applied and applied[-1] == "t":
-                # (d*)^2 = 0 also when the inner d* stayed primitive
-                return {}
-            if degree == 0:
-                return {}
-            if 1 <= degree <= 7:
-                # bridge t = (-1)^k s d s
-                if degree % 2:
-                    coeff = -coeff
-                pending.extend(("s", "d", "s"))
-            elif degree in (8, 9):
-                applied.append("t")
-                degree -= 1
-            else:
-                raise InputError(f"codifferential undefined on degree {degree}")
-        else:
-            raise InputError(f"unknown operator {op!r}")
-    return _normalize_applied(applied, atom, coeff, rules, depth)
-
-
-def _rewrite(expr: LinkExpr, ops: list[str], rules: Relations) -> LinkExpr:
-    """Apply ``ops`` (outermost-first) to every term and re-collect the pieces."""
+def _rewrite(expr: LinkExpr, ops: Word, rules: Relations) -> LinkExpr:
+    """Apply ``ops`` (outermost-first) to every term: the one rewriting loop."""
     out: dict[tuple[Word, Atom], Scalar] = {}
-    for (word, atom), coeff in expr.terms.items():
-        for key, value in _apply_ops(ops + list(word), [], atom, coeff, rules, 0).items():
-            out[key] = out.get(key, ZERO) + value
+    # a stack, filled in reverse so that terms and their pieces keep their order
+    work = [(ops + word, atom, coeff) for (word, atom), coeff in reversed(expr.terms.items())]
+    while work:
+        word, atom, coeff = work.pop()
+        pending = list(word)  # consumed from the end, innermost first
+        applied: list[str] = []  # the reduced part, innermost-first
+        degree = atom.degree
+        while pending:
+            op = pending.pop()
+            if op == "s":
+                if not 0 <= degree <= 7:
+                    raise InputError(f"star undefined on degree {degree}")
+                if applied and applied[-1] == "s":
+                    applied.pop()
+                else:
+                    applied.append("s")
+                degree = 7 - degree
+            elif op == "d":
+                if applied and applied[-1] == "d":
+                    break
+                if degree >= 9:
+                    raise InputError(f"d applied to degree {degree}")
+                applied.append("d")
+                degree += 1
+            elif op == "t":
+                # d* kills functions; (d*)^2 = 0 also when the inner d* stayed primitive
+                if degree == 0 or applied and applied[-1] == "t":
+                    break
+                if 1 <= degree <= 7:
+                    # bridge t = (-1)^k s d s
+                    if degree % 2:
+                        coeff = -coeff
+                    pending.extend(("s", "d", "s"))
+                elif degree in (8, 9):
+                    applied.append("t")
+                    degree -= 1
+                else:
+                    raise InputError(f"codifferential undefined on degree {degree}")
+            else:
+                raise InputError(f"unknown operator {op!r}")
+        else:  # the word did not vanish
+            inner = tuple(applied)
+            if rules.killed(atom.name, inner):
+                continue
+            word = inner[::-1]
+            if inner[:1] == ("d",):
+                c = rules.duality.get(atom.name)
+                if c is not None:  # d a -> c * (s a)
+                    work.append((word[:-1] + ("s",), atom, coeff * c))
+                    continue
+                mu = rules.eigen.get(atom.name)
+                if mu is not None and inner[:4] == ("d", "s", "d", "s"):
+                    if atom.degree > 6:
+                        raise InputError("eigenform relations are supported for degrees 0..6")
+                    # (-1)^k (d s d s - s d s d) a = mu a, solved for s d s d a
+                    # (innermost d); for a 0-form d s d s a = d(d* a) = 0.
+                    work.append((word[:-4], atom, coeff * (1 if atom.degree % 2 else -1) * mu))
+                    if atom.degree:
+                        work.append((word[:-4] + ("d", "s", "d", "s"), atom, coeff))
+                    continue
+            key = (word, atom)
+            out[key] = out[key] + coeff if key in out else coeff
     return LinkExpr(_word_degree(reversed(ops), expr.degree), out)
 
 
 def apply_operator(expr: LinkExpr, op: str, rules: Relations = EMPTY_RELATIONS) -> LinkExpr:
     """Apply d, s or t to an expression and normalize."""
-    return _rewrite(expr, [op], rules)
+    return _rewrite(expr, (op,), rules)
 
 
 def normalize(expr: LinkExpr, rules: Relations = EMPTY_RELATIONS) -> LinkExpr:
     """Re-normalize an expression under (possibly new) relations."""
-    return _rewrite(expr, [], rules)
+    return _rewrite(expr, (), rules)
 
 
 def d_link(expr: LinkExpr, rules: Relations = EMPTY_RELATIONS) -> LinkExpr:

@@ -199,10 +199,9 @@ def test_cone_laplacian_is_composition_random():
 
 
 def test_cone_d_psi_c_iff_nearly_parallel():
-    with_np, rules = psi_cone(declare_nearly_parallel=True)
+    with_np, rules = psi_cone()
     assert cone_d(with_np, rules).is_zero()
-    without, free_rules = psi_cone(declare_nearly_parallel=False)
-    assert not cone_d(without, free_rules).is_zero()
+    assert not cone_d(psi_cone()[0], Relations()).is_zero()
 
 
 def test_asd_closed_condition_values():
@@ -260,7 +259,6 @@ def test_shared_default_relations_stay_empty():
             except InputError:
                 pass
     psi_cone()
-    psi_cone(declare_nearly_parallel=False)
     for lam in (-4, Fraction(-10, 3), 0):
         asd_form(Atom("alpha", 3), lam)
     for parity, lam in (("even", -4), ("odd", -3), ("even", Fraction(-7, 3)), ("odd", Fraction(-1, 2))):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from spin7ac.linkexpr import (
     Atom,
     LinkExpr,
     Relations,
+    apply_operator,
     d_link,
     dstar_link,
     laplacian_link,
@@ -107,6 +111,10 @@ def test_eigenform_relation_all_supported_degrees():
         assert normalize(laplacian_link(a), rules) == a.scale(mu)
         # iterating the Laplacian squares the eigenvalue
         assert laplacian_link(laplacian_link(a, rules), rules) == a.scale(mu * mu)
+    # a long word needs no rewrite depth: (s d s d) f = -mu f on a 0-form
+    f = Atom("f", 0)
+    word = LinkExpr.monomial(("s", "d", "s", "d") * 61, f)
+    assert normalize(word, Relations(eigen={"f": Scalar(2)})) == LinkExpr.atom(f).scale(Scalar(-2) ** 61)
 
 
 def test_duality_relation():
@@ -119,6 +127,10 @@ def test_duality_relation():
     assert d_link(star_link(x, rules), rules).is_zero()
     assert dstar_link(x, rules).is_zero()
     assert dstar_link(star_link(x, rules), rules) == x.scale(4)
+    # d a and s a share a degree only on 3-forms; other degrees are refused
+    for degree, coeff in ((8, 4), (8, 0), (5, 0), (5, 4), (2, 1)):
+        with pytest.raises(InputError, match=f"needs a 3-form, not degree {degree}"):
+            Relations().declare_duality(Atom("a", degree), coeff)
 
 
 def test_zero_atom_rule():
@@ -212,3 +224,56 @@ def test_atom_hash_agrees_with_equality():
     terms = {(("d", "s"), a): "x"}
     assert terms[(("d",) + ("s",), Atom("alpha3", 3))] == "x"
     assert (("d", "s"), Atom("alpha3", 4)) not in terms
+
+
+def _word_pin_lines() -> list[str]:
+    """One relation kind and one operator per seeded draw on a sum of whole words."""
+    rng = random.Random(4101)
+    ops = {
+        "normalize": normalize,
+        "d": lambda e, r: apply_operator(e, "d", r),
+        "s": lambda e, r: apply_operator(e, "s", r),
+        "t": lambda e, r: apply_operator(e, "t", r),
+        "laplacian": laplacian_link,
+    }
+    lines = []
+    for _ in range(3000):
+        name = rng.choice(("a", "b", "phi"))
+        atom = Atom(name, 3 if name == "phi" else rng.randint(0, 8))
+        words = [tuple(rng.choice("dst") for _ in range(rng.randint(0, 6))) for _ in range(2)]
+        coeffs = [Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-2, 2), 3))
+                  for _ in range(2)]
+        rules = Relations()
+        kind = rng.choice(("kill", "eigen", "duality"))
+        if kind == "kill":
+            rules.kill(name, [tuple(rng.choice("dst") for _ in range(rng.randint(0, 2)))])
+        elif kind == "eigen":
+            rules.eigen[name] = Scalar(Fraction(rng.randint(-3, 12), rng.randint(1, 3)))
+        else:
+            rules.declare_duality(Atom("phi", 3), rng.choice((4, 0, Fraction(-2, 3))))
+        op = rng.choice(sorted(ops))
+        try:
+            expr = LinkExpr.monomial(words[0], atom).scale(coeffs[0])
+            second = LinkExpr.monomial(words[1], atom)
+            if second.degree == expr.degree:
+                expr = expr + second.scale(coeffs[1])
+            out = json.dumps(ops[op](expr, rules).to_json(), sort_keys=True)
+        except InputError as exc:
+            out = f"InputError: {exc}"
+        lines.append(f"{op} {kind} {out}")
+    return lines
+
+
+# sha256 of 3,000 seeded draws: one or two unreduced words of 0..6 letters
+# over d, s and t on an atom a or b of degree 0..8 or phi of degree 3, under
+# one kill word, one eigenvalue or a duality on phi, through normalize,
+# apply_operator with d, s or t, or laplacian_link (refusals included);
+# recorded at 9e8a73d, before the rewriting became one work-list loop.
+_WORD_REWRITE_SHA256 = "ef0538716239ab4a7f4cc81714f1a6d01cbf24e78d9f2f86d00db576f4ba9c18"
+
+
+def test_rewriting_of_whole_words_is_byte_identical_to_pin():
+    lines = _word_pin_lines()
+    assert any(line.startswith("laplacian eigen") and "sqrt5" in line for line in lines)
+    assert any("InputError: star undefined on degree" in line for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _WORD_REWRITE_SHA256
