@@ -48,6 +48,9 @@ from .ratmat import Echelon as _LinearSystem
 from .scalars import ZERO, Scalar, _canonical, json_field, strict_int
 
 
+_Part = tuple[int, LinkExpr | None, LinkExpr | None]  # (cone degree, alpha, beta)
+
+
 class _ConeFormFields(NamedTuple):
     rate: Scalar
     components: dict[int, tuple[LinkExpr | None, LinkExpr | None]]
@@ -78,18 +81,28 @@ class HomogeneousConeForm(_ConeFormFields):
         return super().__new__(cls, rate, components)
 
     @classmethod
-    def build(
-        cls,
-        rate: Scalar | int,
-        components: Mapping[int, tuple[LinkExpr | None, LinkExpr | None]],
-    ) -> "HomogeneousConeForm":
-        clean: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
-        for k, (alpha, beta) in components.items():
-            a = None if alpha is None or alpha.is_zero() else alpha
-            b = None if beta is None or beta.is_zero() else beta
-            if a is not None or b is not None:
-                clean[k] = (a, b)
-        return cls(Scalar.coerce(rate), clean)
+    def build(cls, rate: Scalar | int, parts: Iterable[_Part]) -> "HomogeneousConeForm":
+        """The form of the given rate whose components sum the parts per degree.
+
+        Each part is (cone degree, alpha, beta), None for no slot.  Zero
+        slots are dropped, a nonzero degree-10 component (only d raises the
+        degree) is refused, and ``__new__`` checks the slot degrees.
+        """
+        sums: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
+        for k, alpha, beta in parts:
+            a, b = sums.get(k, (None, None))
+            sums[k] = (
+                alpha if a is None else a if alpha is None else a + alpha,
+                beta if b is None else b if beta is None else b + beta,
+            )
+        components = {}
+        for k, pair in sums.items():
+            alpha, beta = (None if x is None or x.is_zero() else x for x in pair)
+            if alpha is not None or beta is not None:
+                components[k] = (alpha, beta)
+        if 10 in components:
+            raise InputError("d undefined on formal degree-9 components")
+        return cls(Scalar.coerce(rate), components)
 
     def is_zero(self) -> bool:
         return not self.components
@@ -105,9 +118,7 @@ class HomogeneousConeForm(_ConeFormFields):
             return self
         if self.rate != other.rate:
             raise InputError("cannot add homogeneous forms of different rates")
-        return _sum_parts(
-            self.rate, [(k, a, b) for g in (self, other) for k, (a, b) in g.components.items()]
-        )
+        return self.build(self.rate, ((k, a, b) for g in (self, other) for k, (a, b) in g.components.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousConeForm):
@@ -148,29 +159,7 @@ class HomogeneousConeForm(_ConeFormFields):
                 )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed cone-form JSON: {exc}") from exc
-        return cls.build(rate, comps)
-
-
-def _add_opt(x: LinkExpr | None, y: LinkExpr | None) -> LinkExpr | None:
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return x + y
-
-
-_Part = tuple[int, LinkExpr | None, LinkExpr | None]  # (cone degree, alpha, beta)
-
-
-def _sum_parts(rate: Scalar, parts: Iterable[_Part]) -> HomogeneousConeForm:
-    """The homogeneous form of the given rate whose components sum the parts per degree."""
-    sums: dict[int, tuple[LinkExpr | None, LinkExpr | None]] = {}
-    for k, alpha, beta in parts:
-        a, b = sums.get(k, (None, None))
-        sums[k] = (_add_opt(a, alpha), _add_opt(b, beta))
-    if any(x is not None and not x.is_zero() for x in sums.get(10, ())):  # only d raises the degree
-        raise InputError("d undefined on formal degree-9 components")
-    return HomogeneousConeForm.build(rate, sums)
+        return cls.build(rate, ((k, a, b) for k, (a, b) in comps.items()))
 
 
 # -- the four cone operators ----------------------------------------------
@@ -184,7 +173,7 @@ def cone_d(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> Homoge
             parts.append((k + 1, -d_link(alpha, rules), None))
         if beta is not None:
             parts.append((k + 1, beta.scale(lam + k), d_link(beta, rules)))
-    return _sum_parts(lam - 1, parts)
+    return HomogeneousConeForm.build(lam - 1, parts)
 
 
 def cone_star(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
@@ -197,7 +186,7 @@ def cone_star(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> Hom
             parts.append((8 - k, -star_beta if k % 2 else star_beta, None))
         if alpha is not None:
             parts.append((8 - k, None, star_link(alpha, rules)))
-    return _sum_parts(g.rate, parts)
+    return HomogeneousConeForm.build(g.rate, parts)
 
 
 def cone_dstar(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
@@ -208,7 +197,7 @@ def cone_dstar(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> Ho
             parts.append((k - 1, None, dstar_link(beta, rules)))
         if alpha is not None:
             parts.append((k - 1, -dstar_link(alpha, rules), alpha.scale(-(lam + 8 - k))))
-    return _sum_parts(lam - 1, parts)
+    return HomogeneousConeForm.build(lam - 1, parts)
 
 
 def cone_laplacian(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -> HomogeneousConeForm:
@@ -221,7 +210,7 @@ def cone_laplacian(g: HomogeneousConeForm, rules: Relations = EMPTY_RELATIONS) -
         if beta is not None:
             tan = laplacian_link(beta, rules) + beta.scale(-(lam + k) * (lam - k + 6))
             parts.append((k, dstar_link(beta, rules).scale(-2), tan))
-    return _sum_parts(lam - 2, parts)
+    return HomogeneousConeForm.build(lam - 2, parts)
 
 
 # -- nearly parallel structure and ASD characterization -------------------
@@ -233,9 +222,7 @@ def psi_cone() -> tuple[HomogeneousConeForm, Relations]:
     rules = Relations()
     rules.declare_duality(phi, 4)
     expr = LinkExpr.atom(phi)
-    gamma = HomogeneousConeForm.build(
-        0, {4: (expr, star_link(expr, rules))}
-    )
+    gamma = HomogeneousConeForm.build(0, [(4, expr, star_link(expr, rules))])
     return gamma, rules
 
 
@@ -270,7 +257,7 @@ def asd_form(alpha: Atom, lam: Scalar | int, rules: Relations = EMPTY_RELATIONS)
     if alpha.degree != 3:
         raise InputError("ASD 4-forms need a degree-3 link form")
     expr = LinkExpr.atom(alpha)
-    return HomogeneousConeForm.build(lam, {4: (expr, -star_link(expr, rules))})
+    return HomogeneousConeForm.build(lam, [(4, expr, -star_link(expr, rules))])
 
 
 # -- rate classification ---------------------------------------------------
@@ -350,7 +337,7 @@ def _generic_equations(atoms: dict[SlotKey, Atom], lam: Scalar) -> dict[tuple[in
     Keyed (k, i) for cone degree k and i = 0 (dr slot, link degree k - 1)
     or 1 (tangential slot, link degree k); zero slots are left out.
     """
-    gamma = _sum_parts(lam, [
+    gamma = HomogeneousConeForm.build(lam, [
         (k + 1, LinkExpr.atom(atom), None) if slot == "alpha" else (k, None, LinkExpr.atom(atom))
         for (k, slot), atom in atoms.items()
     ])

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
-from .scalars import ONE, ZERO, Scalar, json_field, strict_int
+from .scalars import ONE, Scalar, json_field, strict_int
 
 Word = tuple[str, ...]
 
@@ -177,7 +177,7 @@ class LinkExpr:
             )
         terms = dict(self.terms)
         for key, value in other.terms.items():
-            terms[key] = terms.get(key, ZERO) + value
+            terms[key] = terms[key] + value if key in terms else value
         return LinkExpr(self.degree, terms)
 
     def __neg__(self) -> "LinkExpr":
@@ -226,7 +226,7 @@ class LinkExpr:
         for item in json_field(obj, "terms", list, []):
             key = (tuple(json_field(item, "ops", list, [])), Atom.from_json(item["atom"]))
             coeff = Scalar.from_json(item["coeff"])
-            terms[key] = terms.get(key, ZERO) + coeff
+            terms[key] = terms[key] + coeff if key in terms else coeff
         # incoming words may be unreduced; canonicalize them
         return normalize(cls(degree, terms))
 

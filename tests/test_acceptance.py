@@ -196,7 +196,7 @@ def test_criterion_06_symbolic_identities():
     rng = random.Random(606)
 
     def random_mixed(even_only: bool = False) -> HomogeneousConeForm:
-        comps = {}
+        parts = []
         degrees = range(0, 9, 2) if even_only else range(0, 9)
         for k in rng.sample(list(degrees), k=rng.randint(1, 4)):
             alpha = (
@@ -213,9 +213,9 @@ def test_criterion_06_symbolic_identities():
                 if k <= 7
                 else None
             )
-            comps[k] = (alpha, beta)
+            parts.append((k, alpha, beta))
         return HomogeneousConeForm.build(
-            Scalar(Fraction(rng.randint(-8, 3), rng.randint(1, 3))), comps
+            Scalar(Fraction(rng.randint(-8, 3), rng.randint(1, 3))), parts
         )
 
     ok = True

@@ -730,6 +730,22 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         (["cone-op", "--op", "d", "--form"], {"rate": "0", "components": ""}),
         (["cone-op", "--op", "d", "--form"],
          {"rate": "0", "components": [{"degree": 4, "alpha": None, "beta": {"degree": 4, "terms": {}}}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 3, "beta":
+          {"degree": 3, "terms": [{"coeff": "1", "atom": {"name": "a", "degree": 2}}]}}]}),
+        (["cone-op", "--op", "d", "--form"],
+         {"rate": "0", "components": [{"degree": 4, "beta":
+          {"degree": 4, "terms": [{"coeff": "1", "ops": ["x"], "atom": {"name": "a", "degree": 3}}]}}]}),
+        (["decompose", "--form"], {"n": 8, "k": 4, "terms": {"1,2,3": "1"}}),
+        (["pi-theta", "--form"], {"n": 8, "k": 3, "terms": {"1,2,3": "1/100"}}),
+        (["moduli-dim", "--nu=-3", "--link"], {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0, "critical_rates": ["-2"]}),
+        (["moduli-dim", "--nu=-3", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0, "contributions": [{"lambda": "-3", "dim_E": 1}]}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0, "contributions": [{"lambda": "-3", "dim_E": -1}]}),
+        (["moduli-dim", "--nu=-1", "--link"],
+         {"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0,
+          "contributions": [{"lambda": {"exact": False, "float": -3.5, "value": None}, "dim_E": 1}]}),
     ],
     ids=[
         "n-not-an-integer", "float-term", "float-surd-part", "zero-denominator", "terms-list",
@@ -742,7 +758,9 @@ _FORM = {"n": 8, "k": 4, "terms": {"1,2,3,4": "1/100", "5,6,7,8": "-1/100"}}
         "eta-beyond-float-range", "form-key-leading-zero", "form-key-spaces",
         "form-key-repeated", "cone-degree-repeated", "ops-not-a-list", "atom-name-null",
         "link-source-null", "link-contributions-object", "link-rates-string", "link-name-not-a-string",
-        "cone-components-string", "expr-terms-object",
+        "cone-components-string", "expr-terms-object", "expr-term-degree-contradicted",
+        "expr-unknown-operator", "form-key-wrong-length", "eta-not-a-4-form", "nu-plus-one-critical",
+        "nu-equals-contribution-rate", "dim-E-negative", "link-rate-value-null",
     ],
 )
 def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):
@@ -757,6 +775,22 @@ def test_malformed_input_exits_3_with_one_line(capsys, tmp_path, argv, payload):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_link_rate_object_as_enumerate_prints_it_is_counted(capsys, tmp_path):
+    # a rate may be given as enumerate prints it in "lambdas": {"value": scalar, ...}
+    rate = {"exact": True, "float": -3.3333333333333335, "value": {"1": "-10/3"}}
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({"dim_h4_minus_L2": 0, "dim_im_upsilon4": 0,
+                                "contributions": [{"lambda": rate, "dim_E": 1}]}))
+    code, out, err = run_cli(capsys, "moduli-dim", "--nu=-1", "--link", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "breakdown": {"L2": 0, "contributions": [{"dim_E": 1, "lambda": {"1": "-10/3"}, "source": ""}],
+                      "topological": 0},
+        "nu": {"1": "-1/1"},
+        "total": 1,
+    }
 
 
 def test_truncated_json_and_malformed_rationals_exit_3_with_one_line(capsys, monkeypatch):

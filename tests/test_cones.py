@@ -45,7 +45,7 @@ from spin7ac.scalars import Scalar
 
 
 def random_mixed_form(rng: random.Random, degrees=range(0, 9)) -> HomogeneousConeForm:
-    comps = {}
+    parts = []
     for k in rng.sample(list(degrees), k=rng.randint(1, 4)):
         alpha = None
         beta = None
@@ -57,9 +57,9 @@ def random_mixed_form(rng: random.Random, degrees=range(0, 9)) -> HomogeneousCon
             beta = LinkExpr.atom(Atom(f"b{k}", k)).scale(
                 Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
             )
-        comps[k] = (alpha, beta)
+        parts.append((k, alpha, beta))
     rate = Scalar(Fraction(rng.randint(-8, 4), rng.randint(1, 3)))
-    return HomogeneousConeForm.build(rate, comps)
+    return HomogeneousConeForm.build(rate, parts)
 
 
 def test_cone_d_examples():
@@ -67,12 +67,12 @@ def test_cone_d_examples():
     beta = Atom("b", 4)
     rules = Relations()
     rules.kill("b", CLOSED)
-    gamma = HomogeneousConeForm.build(-4, {4: (None, LinkExpr.atom(beta))})
+    gamma = HomogeneousConeForm.build(-4, [(4, None, LinkExpr.atom(beta))])
     assert cone_d(gamma, rules).is_zero()
 
     # pure dr-part: d(dr ^ alpha) = -dr ^ d alpha
     alpha = Atom("a", 3)
-    gamma = HomogeneousConeForm.build(0, {4: (LinkExpr.atom(alpha), None)})
+    gamma = HomogeneousConeForm.build(0, [(4, LinkExpr.atom(alpha), None)])
     out = cone_d(gamma)
     assert out.rate == Scalar(-1)
     assert out.slot(5, "alpha") == -d_link(LinkExpr.atom(alpha))
@@ -90,7 +90,7 @@ def test_cone_dstar_examples():
     # pure beta (no dr-part): the output has only the tangential slot,
     # -(lambda+8-k)*0 + d* beta = d* beta
     beta = Atom("b", 2)
-    gamma = HomogeneousConeForm.build(-1, {2: (None, LinkExpr.atom(beta))})
+    gamma = HomogeneousConeForm.build(-1, [(2, None, LinkExpr.atom(beta))])
     out = cone_dstar(gamma)
     assert out.rate == Scalar(-2)
     assert out.slot(1, "beta") == dstar_link(LinkExpr.atom(beta))
@@ -100,7 +100,7 @@ def test_cone_dstar_examples():
     # a co-closed beta at the rate where lambda + 8 - k = 0 dies entirely
     rules = Relations()
     rules.kill("b", COCLOSED)
-    gamma = HomogeneousConeForm.build(-6, {2: (None, LinkExpr.atom(beta))})
+    gamma = HomogeneousConeForm.build(-6, [(2, None, LinkExpr.atom(beta))])
     assert cone_dstar(gamma, rules).is_zero()
 
     psi, np_rules = psi_cone()
@@ -117,15 +117,7 @@ def test_cone_dstar_squared_vanishes_random():
 def test_cone_dstar_squared_vanishes_on_formal_top_slot():
     # the classification engine carries a formal degree-8 tangential slot;
     # the first-order identities must survive it
-    g = HomogeneousConeForm.build(
-        -4,
-        {
-            8: (
-                LinkExpr.atom(Atom("alpha7", 7)),
-                LinkExpr.atom(Atom("beta8", 8)),
-            )
-        },
-    )
+    g = HomogeneousConeForm.build(-4, [(8, LinkExpr.atom(Atom("alpha7", 7)), LinkExpr.atom(Atom("beta8", 8)))])
     assert cone_dstar(cone_dstar(g)).is_zero()
     assert cone_laplacian(g) == cone_d(cone_dstar(g)) + cone_dstar(cone_d(g))
 
@@ -136,7 +128,7 @@ def test_cone_star_examples():
 
     # a pure function beta: *gamma = r^(lambda+7) dr ^ *beta, sign +1
     beta = Atom("f", 0)
-    gamma = HomogeneousConeForm.build(2, {0: (None, LinkExpr.atom(beta))})
+    gamma = HomogeneousConeForm.build(2, [(0, None, LinkExpr.atom(beta))])
     out = cone_star(gamma)
     assert out.rate == Scalar(2)
     assert out.slot(8, "alpha") == star_link(LinkExpr.atom(beta))
@@ -167,7 +159,7 @@ def test_cone_laplacian_examples():
     lam = Scalar(Fraction(-3, 2))
     rules = Relations(eigen={"f": mu})
     f = LinkExpr.atom(Atom("f", 0))
-    gamma = HomogeneousConeForm.build(lam, {0: (None, f)})
+    gamma = HomogeneousConeForm.build(lam, [(0, None, f)])
     out = cone_laplacian(gamma, rules)
     factor = mu - lam * (lam + Scalar(6))
     assert out.slot(0, "beta") == f.scale(factor)
@@ -177,7 +169,7 @@ def test_cone_laplacian_examples():
     # Delta alpha - (lambda-1)(lambda+7) alpha - 2 d* beta
     alpha = LinkExpr.atom(Atom("a", 0))
     beta = LinkExpr.atom(Atom("b", 1))
-    gamma = HomogeneousConeForm.build(lam, {1: (alpha, beta)})
+    gamma = HomogeneousConeForm.build(lam, [(1, alpha, beta)])
     out = cone_laplacian(gamma)
     from spin7ac.linkexpr import laplacian_link
 
@@ -715,9 +707,9 @@ def test_hcf_json_round_trip():
 
 def test_hcf_validation():
     with pytest.raises(InputError):
-        HomogeneousConeForm.build(0, {2: (LinkExpr.atom(Atom("x", 3)), None)})
-    a = HomogeneousConeForm.build(0, {2: (None, LinkExpr.atom(Atom("x", 2)))})
-    b = HomogeneousConeForm.build(1, {2: (None, LinkExpr.atom(Atom("x", 2)))})
+        HomogeneousConeForm.build(0, [(2, LinkExpr.atom(Atom("x", 3)), None)])
+    a = HomogeneousConeForm.build(0, [(2, None, LinkExpr.atom(Atom("x", 2)))])
+    b = HomogeneousConeForm.build(1, [(2, None, LinkExpr.atom(Atom("x", 2)))])
     with pytest.raises(InputError):
         a + b
 
@@ -732,7 +724,7 @@ def _pin_coefficient(rng: random.Random) -> Scalar:
 
 def _pin_form(rng: random.Random) -> HomogeneousConeForm:
     """A random form over degrees 0..9; phi stands in some degree-3 slots."""
-    comps = {}
+    parts = []
     for k in rng.sample(range(0, 10), k=rng.randint(1, 4)):
         alpha = beta = None
         if k >= 1:
@@ -741,9 +733,9 @@ def _pin_form(rng: random.Random) -> HomogeneousConeForm:
         if k <= 8 and rng.random() < 0.8:
             name = "phi" if k == 3 and rng.random() < 0.5 else f"b{k}"
             beta = LinkExpr.atom(Atom(name, k)).scale(_pin_coefficient(rng))
-        comps[k] = (alpha, beta)
+        parts.append((k, alpha, beta))
     surd = Fraction(rng.randint(-2, 2), 3) if rng.random() < 0.25 else 0
-    return HomogeneousConeForm.build(Scalar(Fraction(rng.randint(-8, 4), rng.randint(1, 3)), surd), comps)
+    return HomogeneousConeForm.build(Scalar(Fraction(rng.randint(-8, 4), rng.randint(1, 3)), surd), parts)
 
 
 def _cone_operator_lines() -> list[str]:

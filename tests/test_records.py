@@ -46,7 +46,7 @@ from spin7ac.scalars import Scalar
 _RECORDS = {
     Atom: lambda: Atom("a", 3),
     IrrepLabel: lambda: IrrepLabel(1, 1, 0),
-    HomogeneousConeForm: lambda: HomogeneousConeForm.build(-4, {1: (None, LinkExpr.atom(Atom("b", 1)))}),
+    HomogeneousConeForm: lambda: HomogeneousConeForm.build(-4, [(1, None, LinkExpr.atom(Atom("b", 1)))]),
     LinkData: bryant_salamon_link_data,
     ProjectorTable: build_projectors,
     AsdClosedCondition: lambda: asd_closed_condition(-1),
@@ -109,7 +109,7 @@ def test_link_data_sorts_its_contributions():
 
 
 def test_zero_cone_forms_of_any_rate_are_equal():
-    zero_a, zero_b = HomogeneousConeForm.build(-1, {}), HomogeneousConeForm.build(-2, {})
+    zero_a, zero_b = HomogeneousConeForm.build(-1, []), HomogeneousConeForm.build(-2, [])
     assert zero_a == zero_b and not zero_a != zero_b
     g = _RECORDS[HomogeneousConeForm]()
     assert g != zero_a and not g == zero_a
