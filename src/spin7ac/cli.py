@@ -256,5 +256,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":  # pragma: no cover - only `python -m spin7ac.cli` runs it; tests call main()
     sys.exit(main())

@@ -159,6 +159,8 @@ class HomogeneousConeForm(_ConeFormFields):
                 )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed cone-form JSON: {exc}") from exc
+        if any(x is not None and not x.is_zero() for x in comps.get(10, ())):
+            raise InputError("cone degree 10 out of range")  # build's own refusal names d
         return cls.build(rate, ((k, a, b) for k, (a, b) in comps.items()))
 
 

@@ -237,14 +237,6 @@ class Vector:
     def __getitem__(self, i: int) -> Scalar:
         return self.components[i - 1]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
-
-    def __repr__(self) -> str:
-        return f"Vector({[str(c) for c in self.components]})"
-
 
 class Matrix:
     """Dense n x n matrix of Scalars (a general linear map on R^n)."""
@@ -289,11 +281,6 @@ class Matrix:
                 for row in self.rows
             ]
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows
 
 
 # -- operations ---------------------------------------------------------

@@ -255,10 +255,9 @@ def _rewrite(expr: LinkExpr, ops: Word, rules: Relations) -> LinkExpr:
                     applied.append("s")
                 degree = 7 - degree
             elif op == "d":
+                # only d reaches degree 9 (from 8), so d d breaks before degree 10
                 if applied and applied[-1] == "d":
                     break
-                if degree >= 9:
-                    raise InputError(f"d applied to degree {degree}")
                 applied.append("d")
                 degree += 1
             elif op == "t":
@@ -270,11 +269,9 @@ def _rewrite(expr: LinkExpr, ops: Word, rules: Relations) -> LinkExpr:
                     if degree % 2:
                         coeff = -coeff
                     pending.extend(("s", "d", "s"))
-                elif degree in (8, 9):
+                else:  # degree 8 or 9
                     applied.append("t")
                     degree -= 1
-                else:
-                    raise InputError(f"codifferential undefined on degree {degree}")
             else:
                 raise InputError(f"unknown operator {op!r}")
         else:  # the word did not vanish
@@ -288,9 +285,7 @@ def _rewrite(expr: LinkExpr, ops: Word, rules: Relations) -> LinkExpr:
                     work.append((word[:-1] + ("s",), atom, coeff * c))
                     continue
                 mu = rules.eigen.get(atom.name)
-                if mu is not None and inner[:4] == ("d", "s", "d", "s"):
-                    if atom.degree > 6:
-                        raise InputError("eigenform relations are supported for degrees 0..6")
+                if mu is not None and inner[:4] == ("d", "s", "d", "s"):  # so atom.degree <= 6
                     # (-1)^k (d s d s - s d s d) a = mu a, solved for s d s d a
                     # (innermost d); for a 0-form d s d s a = d(d* a) = 0.
                     work.append((word[:-4], atom, coeff * (1 if atom.degree % 2 else -1) * mu))

@@ -305,8 +305,10 @@ def _certify(table: dict[TypeLabel, IntMatrix]) -> None:
         for i, da in enumerate(dims):
             for db in dims[i + 1 :]:
                 prod = ratmat.mat_mul(numerators[da], numerators[db])
+                # Never fires once the checks above pass: for x in im P_a,
+                # |x|^2 = sum_b |P_b x|^2 forces P_b x = 0 for every b != a.
                 if any(any(row) for row in prod):
-                    raise InternalCheckError(
+                    raise InternalCheckError(  # pragma: no cover - implied by the checks above
                         f"Lambda^{degree}_{da} and Lambda^{degree}_{db} are not orthogonal"
                     )
 

@@ -88,18 +88,15 @@ def _sign_q_sqrt5(p: int, q: int) -> int:
     sp, sq = _sign(p), _sign(q)
     if sp * sq >= 0:
         return sp or sq
-    # Opposite signs: |p| vs |q|*sqrt5 decided by squaring.  p^2 = 5 q^2
-    # is impossible for rational p, q != 0, so cmp is never 0 here.
+    # Opposite signs: |p| vs |q|*sqrt5 decided by squaring.
     cmp = _sign(p * p - 5 * q * q)
-    if cmp == 0:  # pragma: no cover
+    if cmp == 0:  # pragma: no cover - p^2 = 5 q^2 has no integer solution with q != 0
         raise ArithmeticError(f"sqrt5 would be rational: p={p}, q={q}")
     return sp if cmp > 0 else sq
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -209,7 +206,7 @@ class Scalar:
         cofactor = _canonical(a, -b, c, -d, 1) * _canonical(a, b, -c, -d, 1)
         cofactor = cofactor * _canonical(a, -b, -c, d, 1)
         norm = _canonical(a, b, c, d, 1) * cofactor
-        if not norm.is_rational() or norm._a == 0:  # pragma: no cover
+        if not norm.is_rational() or norm._a == 0:  # pragma: no cover - x != 0 has a nonzero rational norm
             raise ArithmeticError("field norm must be a nonzero rational")
         # self = x/den and x*cofactor = norm, so 1/self = cofactor*den/norm.
         return cofactor * Fraction(self._den, norm._a)
@@ -259,9 +256,8 @@ class Scalar:
         p = a * a + 5 * b * b - 581 * (c * c + 5 * d * d)
         q = 2 * (a * b - 581 * c * d)
         cmp = _sign_q_sqrt5(p, q)
-        if cmp == 0:
-            # |A| = sqrt581 |B| would put sqrt581 in Q(sqrt5).
-            raise ArithmeticError("sqrt581 would lie in Q(sqrt5)")  # pragma: no cover
+        if cmp == 0:  # pragma: no cover - |A| = sqrt581 |B| would put sqrt581 in Q(sqrt5)
+            raise ArithmeticError("sqrt581 would lie in Q(sqrt5)")
         return sa if cmp > 0 else sb
 
     def __eq__(self, other: object) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import collections
 import contextlib
+import difflib
 import hashlib
 import importlib
 import io
@@ -414,6 +415,22 @@ def test_cone_op_d_refuses_a_formal_degree_9_component(capsys, tmp_path):
     assert code == 0 and json.loads(out)["components"] == []
 
 
+def test_cone_op_refuses_a_degree_10_component_before_any_op(capsys, tmp_path):
+    # d a on a degree-8 atom fills the dr slot of cone degree 10: out of range
+    # for every --op, whereas d's own refusal is for the degree 10 it makes
+    d_atom = {"degree": 9, "terms": [{"coeff": {"1": "1/1"}, "ops": ["d"], "atom": {"name": "a", "degree": 8}}]}
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"rate": {"1": "0/1"}, "components": [{"degree": 10, "alpha": d_atom, "beta": None}]}))
+    for op in ("star", "d"):
+        code, out, err = run_cli(capsys, "cone-op", "--op", op, "--form", str(path))
+        assert code == 3 and not out
+        assert err == "error: cone degree 10 out of range\n"
+    atom = {"degree": 8, "terms": [{"coeff": {"1": "1/1"}, "ops": [], "atom": {"name": "a", "degree": 8}}]}
+    path.write_text(json.dumps({"rate": {"1": "0/1"}, "components": [{"degree": 9, "alpha": atom, "beta": None}]}))
+    code, out, err = run_cli(capsys, "cone-op", "--op", "d", "--form", str(path))
+    assert code == 3 and err == "error: d undefined on formal degree-9 components\n"
+
+
 def test_classify_rate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "classify-rate", "--parity", "even", "--rate", "-4")
     assert code == 0
@@ -485,6 +502,21 @@ def test_verify_algebra(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_algebra_fails_on_a_flipped_psi0_sign(capsys, monkeypatch):
+    from spin7ac import projectors
+    from spin7ac.forms import Form
+
+    good = projectors.psi0()
+    key = min(good.terms)
+    flipped = good + Form.monomial(8, key, -2 * good.terms[key])
+    monkeypatch.setattr(projectors, "psi0", lambda: flipped)
+    code, out, err = run_cli(capsys, "verify-algebra")
+    assert code == 4 and err == "internal check failed: algebra self-check failed\n"
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["checks"]["psi0_terms"] is True
+    assert payload["checks"]["star_psi0_equals_psi0"] is False
+
+
 def test_bryant_salamon_json_and_table(capsys):
     code, out, _ = run_cli(capsys, "bryant-salamon")
     assert code == 0
@@ -496,6 +528,23 @@ def test_bryant_salamon_json_and_table(capsys):
     assert "obstructed" in table_out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_golden(out: str, name: str, digest: str) -> None:
+    """out is golden/<name>.out byte for byte (a unified diff if not), with sha256 digest.
+
+    The digest, recorded before the golden file was written, also catches
+    a golden file edited by hand.
+    """
+    path = GOLDEN / f"{name.replace('/', '_')}.out"
+    expected = path.read_bytes().decode()
+    if out != expected:
+        diff = difflib.unified_diff(expected.splitlines(True), out.splitlines(True), str(path), "stdout")
+        pytest.fail("stdout differs from its golden file:\n" + "".join(diff), pytrace=False)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of `bryant-salamon --table` stdout, recorded while the subcommand
 # still took a --json flag alongside it.
 _BRYANT_SALAMON_TABLE_SHA256 = "c61e36426a9acd28d5de78f2ed0b3d60fa371ae980bcbf22c957d3b4584ff1a2"
@@ -504,7 +553,7 @@ _BRYANT_SALAMON_TABLE_SHA256 = "c61e36426a9acd28d5de78f2ed0b3d60fa371ae980bcbf22
 def test_bryant_salamon_table_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "bryant-salamon", "--table")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _BRYANT_SALAMON_TABLE_SHA256
+    assert_golden(out, "bryant-salamon-table", _BRYANT_SALAMON_TABLE_SHA256)
 
 
 def test_bryant_salamon_has_no_json_flag(capsys):
@@ -551,8 +600,10 @@ def test_projector_export_bytes(capsys, label):
 
 
 # One fixed call of every subcommand, and sha256 of its stdout, recorded
-# while Scalar still held four Fraction components.  An argument "@name"
-# stands for a file holding _PIN_INPUTS[name].  pi-theta was re-recorded
+# while Scalar still held four Fraction components.  Each stdout is also
+# kept in golden/ and compared byte for byte, except the two enumerate
+# windows (420 KB and 8 MB), which are pinned by sha256 alone.  An
+# argument "@name" stands for a file holding _PIN_INPUTS[name].  pi-theta was re-recorded
 # when pi became exp(rho(A)) psi0 on Lambda^4: its floats moved by at most
 # 2.2e-16, with the same term supports and iteration count.  pi-theta-generic
 # was recorded when D_A and the Jacobian became sparse sums in generator
@@ -656,7 +707,10 @@ def test_stdout_bytes(capsys, tmp_path, case):
         args.append(arg)
     code, out, err = run_cli(capsys, *args)
     assert code == 0 and not err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if case.startswith("enumerate"):
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    else:
+        assert_golden(out, case, digest)
 
 
 def test_missing_file_exit_code(capsys):

@@ -225,6 +225,8 @@ def test_asd_form_is_antiselfdual():
     starred = cone_star(gamma)
     assert starred.slot(4, "alpha") == -gamma.slot(4, "alpha")
     assert starred.slot(4, "beta") == -gamma.slot(4, "beta")
+    with pytest.raises(InputError, match="ASD 4-forms need a degree-3 link form"):
+        asd_form(Atom("a", 2), lam)
 
 
 def test_shared_default_relations_stay_empty():
@@ -705,6 +707,19 @@ def test_hcf_json_round_trip():
         HomogeneousConeForm.from_json({"rate": "0", "components": [bad, {"degree": 2, "alpha": None}]})
 
 
+
+def test_hcf_json_refuses_a_nonzero_degree_10_component():
+    # d a on a degree-8 atom is a nonzero link 9-form: the dr slot of degree 10
+    d_atom = {"degree": 9, "terms": [{"coeff": "1", "ops": ["d"], "atom": {"name": "a", "degree": 8}}]}
+    with pytest.raises(InputError, match="^cone degree 10 out of range$"):
+        HomogeneousConeForm.from_json({"rate": "0", "components": [{"degree": 10, "alpha": d_atom}]})
+    # null and zero slots at an out-of-range degree drop out
+    zero = {"degree": 9, "terms": [{"coeff": "0", "ops": ["d"], "atom": {"name": "a", "degree": 8}}]}
+    for k, alpha in ((10, None), (10, zero), (11, None)):
+        g = HomogeneousConeForm.from_json({"rate": "0", "components": [{"degree": k, "alpha": alpha}]})
+        assert g.is_zero()
+
+
 def test_hcf_validation():
     with pytest.raises(InputError):
         HomogeneousConeForm.build(0, [(2, LinkExpr.atom(Atom("x", 3)), None)])
@@ -712,6 +727,10 @@ def test_hcf_validation():
     b = HomogeneousConeForm.build(1, [(2, None, LinkExpr.atom(Atom("x", 2)))])
     with pytest.raises(InputError):
         a + b
+    zero = HomogeneousConeForm.build(5, [])  # a zero form adds at any rate
+    assert a + zero is a and zero + b is b
+    assert not a == object()
+    assert a != object()
 
 
 def _pin_coefficient(rng: random.Random) -> Scalar:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -689,3 +690,44 @@ def test_symbolic_modules_import_without_numpy():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# -- immutability, foreign comparison, reprs and input guards --------------
+
+
+def test_forms_vectors_and_matrices_are_immutable():
+    for obj, name in ((Form.zero(8, 2), "Form"), (Vector.basis(8, 1), "Vector"), (Matrix.identity(7), "Matrix")):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            obj.n = 9
+
+
+def test_form_compares_unequal_to_a_foreign_object():
+    a = Form.monomial(8, (1, 2))
+    assert not a == object()
+    assert a != object()
+
+
+def test_form_repr():
+    assert repr(Form.zero(8, 2)) == "Form(8, 2, 0)"
+    a = Form(7, 2, {(1, 2): 3, (2, 5): Scalar(0, Fraction(1, 2))})
+    assert repr(a) == "Form(7, 2, (3)*dx12 + (1/2*sqrt5)*dx25)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Form.zero(7, 2) + Form.zero(8, 2), "dimension mismatch: R^7 vs R^8"),
+        (lambda: Vector([1] * 6), "vectors are supported over R^7 and R^8"),
+        (lambda: Matrix([[1] * 7] * 6), "matrices must be square of size 7 or 8"),
+        (lambda: Matrix([[1] * 7] * 6 + [[1] * 6]), "matrices must be square of size 7 or 8"),
+        (lambda: Matrix.identity(7) @ Matrix.identity(8), "matrix dimension mismatch"),
+        (lambda: interior_product(Vector.basis(7, 1), psi0()), "dimension mismatch: R^7 vs R^8"),
+        (lambda: pullback(Matrix.identity(7), psi0()), "dimension mismatch: R^7 vs R^8"),
+        (lambda: gl_inf_action(Matrix.identity(7), psi0()), "dimension mismatch: R^7 vs R^8"),
+        (lambda: rho(2, [[0] * 8] * 7), "rho is defined for 8x8 matrices"),
+        (lambda: rho(2, [[0] * 7] * 8), "rho is defined for 8x8 matrices"),
+    ],
+)
+def test_dimension_guards(call, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        call()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin7ac import homrep
-from spin7ac.errors import InputError
+from spin7ac.errors import InputError, InternalCheckError
 from spin7ac.forms import Form, hodge_star, wedge
 from spin7ac.homrep import (
     BRANCHING,
@@ -40,7 +41,7 @@ from spin7ac.homrep import (
     type27_residuals,
     ud_hom_data,
 )
-from spin7ac.moduli import lambda_of_mu
+from spin7ac.moduli import Rate, lambda_of_mu
 from spin7ac.scalars import SQRT5, SQRT581, SQRT2905, Scalar
 
 
@@ -503,6 +504,55 @@ def test_pipeline_report():
     assert payload["moduli_dimension"]["-1"] == 1
     text = report.table_text()
     assert "contributes" in text and "obstructed" in text
+
+
+def _ud_table_scaled_to_zero(monkeypatch):
+    # zero values pass the type-27 certification, and the coefficient vanishes
+    ud = ud_hom_data()
+    zero = Form.zero(7, 3)
+    zeroed = ud._replace(action=dict.fromkeys(ud.action, zero), direct=dict.fromkeys(ud.direct, zero))
+    monkeypatch.setattr(homrep, "ud_hom_data", lambda: zeroed)
+
+
+def _inexact_contributing_rate(monkeypatch):
+    original = homrep.enumerate_candidates
+
+    def inexact(lo, hi):
+        records = original(lo, hi)
+        return [
+            r._replace(chain=r.chain._replace(lambdas=(Rate.of(float(r.lambdas[0].value)),)))
+            if r.mu_scal42.is_zero() else r
+            for r in records
+        ]
+
+    monkeypatch.setattr(homrep, "enumerate_candidates", inexact)
+
+
+def _link_data_of_dim_2(monkeypatch):
+    link = bryant_salamon_link_data()
+    wrong = link._replace(contributions=(link.contributions[0]._replace(dim=2),))
+    monkeypatch.setattr(homrep, "bryant_salamon_link_data", lambda: wrong)
+
+
+def _metric_rate_without_a_contribution(monkeypatch):
+    link = bryant_salamon_link_data()
+    monkeypatch.setattr(homrep, "bryant_salamon_link_data", lambda: link)
+    monkeypatch.setattr(homrep, "BS_RATE", Scalar(-3))
+
+
+@pytest.mark.parametrize(
+    "inject, message",
+    [
+        (_ud_table_scaled_to_zero, "UD obstruction coefficient unexpectedly vanished"),
+        (_inexact_contributing_rate, "(0,0,0): contributing rate is not exact"),
+        (_link_data_of_dim_2, "confirmed E-table disagrees with the built-in link data"),
+        (_metric_rate_without_a_contribution, "scaling-contribution validation failed: no contribution at"),
+    ],
+)
+def test_pipeline_checks_fail_on_injected_faults(monkeypatch, inject, message):
+    inject(monkeypatch)
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        bryant_salamon_pipeline()
 
 
 def test_pipeline_link_data_matches_shipped():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from spin7ac.errors import InputError
 from spin7ac.linkexpr import (
     CLOSED,
     COCLOSED,
+    EMPTY_RELATIONS,
     HARMONIC,
     Atom,
     LinkExpr,
@@ -277,3 +279,39 @@ def test_rewriting_of_whole_words_is_byte_identical_to_pin():
     assert any(line.startswith("laplacian eigen") and "sqrt5" in line for line in lines)
     assert any("InputError: star undefined on degree" in line for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _WORD_REWRITE_SHA256
+
+
+def test_link_expressions_are_immutable_and_unequal_to_foreign_objects():
+    x = LinkExpr.atom(Atom("a", 2))
+    with pytest.raises(AttributeError, match="LinkExpr is immutable"):
+        x.degree = 3
+    assert not x == object()
+    assert x != object()
+
+
+def test_link_expression_repr():
+    assert repr(LinkExpr.zero(4)) == "LinkExpr(4, 0)"
+    x = d_link(LinkExpr.atom(Atom("a", 2))).scale(-2)
+    assert repr(x) == "(-2) d a"
+
+
+def test_every_short_word_rewrites_or_meets_an_undefined_star():
+    # Every word over d, s and t up to 7 letters, on atoms of degree 0..8,
+    # under no relations, an eigenvalue and a degree-3 duality: the degree
+    # stays in 0..9, the only refusal is the star off degrees 0..7, and
+    # rewriting ends.
+    eigen = Relations(eigen={"a": Scalar(3)})
+    duality = Relations()
+    duality.declare_duality(Atom("a", 3), Scalar(0, 1))
+    refused = 0
+    for degree in range(9):
+        atom = Atom("a", degree)
+        for rules in (EMPTY_RELATIONS, eigen, duality) if degree == 3 else (EMPTY_RELATIONS, eigen):
+            for n in range(8):
+                for word in itertools.product("dst", repeat=n):
+                    try:
+                        normalize(LinkExpr.monomial(word, atom), rules)
+                    except InputError as exc:
+                        assert str(exc).startswith("star undefined on degree"), (word, degree, exc)
+                        refused += 1
+    assert refused

@@ -245,6 +245,10 @@ def test_scaling_contribution_validator():
     assert not check.valid
     check = scaling_contribution(link, Scalar(Fraction(-1, 2)))
     assert not check.valid
+    # a contribution at the metric's rate that carries no deformation
+    silent = LinkData("bs-silent", 0, 0, (Contribution(rate=Scalar(Fraction(-10, 3)), dim=0),))
+    check = scaling_contribution(silent, Fraction(-10, 3))
+    assert not check.valid and check.reason == "contribution at -10/3 has dim_E = 0"
     with pytest.raises(InputError):
         scaling_contribution(link, Scalar(-5))
 

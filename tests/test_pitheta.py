@@ -551,6 +551,13 @@ def test_rejects_non_finite_eta():
         pi_theta(eta)
 
 
+
+def test_rejects_a_vector_of_the_wrong_shape():
+    for shape in ((69,), (70, 1)):
+        with pytest.raises(InputError, match=r"eta vector must have shape \(70,\)"):
+            pi_theta(np.zeros(shape))
+
+
 def test_compound_is_pullback():
     from spin7ac.forms import Matrix, pullback
 

@@ -381,6 +381,8 @@ def test_seven_factor_examples(table):
         seven_factor_check(Vector.basis(8, 1))
     with pytest.raises(InputError):
         seven_factor_check(Vector([0] * 8))
+    with pytest.raises(InputError, match="expected a vector in R"):
+        seven_factor_check(Vector.basis(7, 2))
 
 
 def test_seven_factor_fifty_random(table):
@@ -450,3 +452,10 @@ def _rank6_projector(n):
 def test_certificate_rejects_broken_tables(table, label, edit, message):
     with pytest.raises(InternalCheckError, match=message):
         _certify(_broken_copy(table, label, edit))
+
+
+def test_table_refuses_unknown_types_and_wrong_degrees(table):
+    with pytest.raises(InputError, match=r"no Spin\(7\) type Lambda\^4_8"):
+        table.projector(4, 8)
+    with pytest.raises(InputError, match="expected a 3-form over R"):
+        table.apply(3, 8, psi0())

@@ -52,6 +52,13 @@ def test_division_by_zero():
         Scalar(0).inverse()
     with pytest.raises(ZeroDivisionError):
         Scalar(1) / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+
+
+def test_rational_divided_by_scalar():
+    assert 1 / SQRT5 == SQRT5 / 5
+    assert Fraction(2, 3) / Scalar(4) == Scalar(Fraction(1, 6))
 
 
 # Values that are not bounded rationals: each public entry point that takes a
@@ -331,3 +338,26 @@ def test_rational_inverse_is_canonical():
         a, b, c, d, den = fields(inv)
         assert (b, c, d) == (0, 0, 0) and den > 0 and math.gcd(a, den) == 1
         assert inv == Scalar(1 / x.a)
+
+
+def test_scalar_is_immutable():
+    with pytest.raises(AttributeError, match="Scalar is immutable"):
+        SQRT5.x = 1
+
+
+def test_scalar_compares_unequal_to_a_foreign_object():
+    assert not SQRT5 == object()
+    assert SQRT5 != object()
+    assert not Scalar(1) == "1"
+
+
+def test_scalar_repr():
+    assert repr(Scalar(Fraction(1, 2), 0, -3)) == (
+        "Scalar(Fraction(1, 2), Fraction(0, 1), Fraction(-3, 1), Fraction(0, 1))"
+    )
+
+
+def test_as_fraction_refuses_an_irrational():
+    assert Scalar(Fraction(-2, 7)).as_fraction() == Fraction(-2, 7)
+    with pytest.raises(InputError, match="sqrt5 is not rational"):
+        SQRT5.as_fraction()
