@@ -3,38 +3,3 @@ conical manifolds: the Spin(7) linear algebra of R^8, the tangent/normal
 splitting of nearby admissible 4-forms, homogeneous-form calculus on the
 cone, critical-rate classification, the moduli dimension formula and the
 homogeneous rigidity computation for the Bryant-Salamon metric."""
-
-from .scalars import Scalar, sqrt_rational
-from .forms import (
-    Form,
-    Matrix,
-    Vector,
-    gl_inf_action,
-    hodge_star,
-    inner_product,
-    interior_product,
-    pullback,
-    wedge,
-)
-from .projectors import build_projectors, decompose, psi0, seven_factor_check
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Scalar",
-    "sqrt_rational",
-    "Form",
-    "Matrix",
-    "Vector",
-    "wedge",
-    "hodge_star",
-    "interior_product",
-    "inner_product",
-    "pullback",
-    "gl_inf_action",
-    "psi0",
-    "build_projectors",
-    "decompose",
-    "seven_factor_check",
-    "__version__",
-]

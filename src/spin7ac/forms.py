@@ -268,9 +268,6 @@ class Matrix:
             rows[i - 1][j - 1] = Scalar.coerce(value)
         return cls(rows)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i - 1][j - 1]
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.n != other.n:
             raise InputError("matrix dimension mismatch")

@@ -330,8 +330,6 @@ class HomData(NamedTuple):
     all of them 3-forms over R^7 in the table's own frame.
     """
 
-    name: str
-    hom_dimension: int
     action: dict[tuple[int, str], Form]
     direct: dict[str, Form]
 
@@ -342,8 +340,6 @@ class HomData(NamedTuple):
 def ud_hom_data() -> HomData:
     """The generator of Hom_H(UD, Lambda^3_27 m), copied verbatim."""
     return HomData(
-        name="UD",
-        hom_dimension=1,
         action={
             (1, "e4"): _scaled({(4, 6, 7): 3, (1, 3, 7): 1, (1, 2, 6): 1, (2, 3, 4): 1}),
             (2, "e4"): _scaled(
@@ -373,8 +369,6 @@ def trivial_hom_data(a_value: Form | None = None) -> HomData:
     """Trivial representation: every e_i . v acts as zero."""
     value = a_value if a_value is not None else Form.zero(7, 3)
     return HomData(
-        name="trivial",
-        hom_dimension=1,
         action={(i, "v"): Form.zero(7, 3) for i in range(1, 8)},
         direct={"v": value},
     )

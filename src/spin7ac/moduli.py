@@ -217,7 +217,6 @@ def moduli_dimension(link: LinkData, nu: Scalar | int | Fraction) -> DimensionRe
 class ScalingCheck(NamedTuple):
     """Result of validating the scaling-deformation bookkeeping."""
 
-    nu_metric: Scalar
     valid: bool
     reason: str
 
@@ -237,12 +236,9 @@ def scaling_contribution(
     for contribution in link.contributions:
         if contribution.rate == nu_metric:
             if contribution.dim >= 1:
-                return ScalingCheck(nu_metric, True, "scaling deformation present")
-            return ScalingCheck(
-                nu_metric, False, f"contribution at {nu_metric} has dim_E = 0"
-            )
+                return ScalingCheck(True, "scaling deformation present")
+            return ScalingCheck(False, f"contribution at {nu_metric} has dim_E = 0")
     return ScalingCheck(
-        nu_metric,
         False,
         f"no contribution at the metric decay rate {nu_metric} "
         "(the rescaling deformation is missing)",

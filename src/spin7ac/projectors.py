@@ -319,9 +319,6 @@ class Decomposition(NamedTuple):
     input: Form
     components: dict[TypeLabel, Form]
 
-    def component(self, dim: int) -> Form:
-        return self.components[(self.input.k, dim)]
-
     def nonzero_labels(self) -> list[TypeLabel]:
         return [label for label, comp in sorted(self.components.items()) if not comp.is_zero()]
 

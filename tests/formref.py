@@ -131,7 +131,7 @@ def gl_inf_action(m: Matrix, a: Form) -> Form:
         for pos, idx in enumerate(key):
             # dx_idx pulls back to sum_j m[idx][j] dx_j at first order.
             for j in range(1, a.n + 1):
-                coeff = m.entry(idx, j)
+                coeff = m.rows[idx - 1][j - 1]
                 if coeff.is_zero():
                     continue
                 candidate = key[:pos] + (j,) + key[pos + 1 :]

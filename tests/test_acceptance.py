@@ -30,13 +30,12 @@ from spin7ac.cones import (
 )
 from spin7ac.forms import (
     Form,
-    Matrix,
     Vector,
     form_to_coefficients,
-    gl_inf_action,
     hodge_star,
     inner_product,
     monomial_basis,
+    rho,
     volume_form,
     wedge,
 )
@@ -120,17 +119,20 @@ def test_criterion_02_psi0_identities():
 
 
 def test_criterion_03_stabiliser_dimension():
-    basis4 = monomial_basis(8, 4)
+    # The gl(8)-action the pipeline uses: column E_ij is rho_4(E_ij) psi0.
+    psi = [c.as_fraction() for c in form_to_coefficients(psi0(), monomial_basis(8, 4))]
     columns = []
-    for i in range(1, 9):
-        for j in range(1, 9):
-            image = gl_inf_action(Matrix.from_entries(8, {(i, j): 1}), psi0())
-            columns.append(
-                [c.as_fraction() for c in form_to_coefficients(image, basis4)]
-            )
+    for i in range(8):
+        for j in range(8):
+            unit = ratmat.zeros(8, 8)
+            unit[i][j] = 1
+            column = [Fraction(0)] * len(psi)
+            for (row, col), value in rho(4, unit).items():
+                column[row] += value * psi[col]
+            columns.append(column)
     kernel_dim = len(ratref.nullspace(ratmat.transpose(columns)))
     ok = kernel_dim == 21
-    report("3", ok, f"dim null(gl_inf_action(., psi0)) on gl(8) = {kernel_dim} (orbit codim 27)")
+    report("3", ok, f"dim null(rho_4(.) psi0) on gl(8) = {kernel_dim} (orbit codim 27)")
 
 
 def test_criterion_04_seven_factor():

@@ -205,6 +205,25 @@ for argv in [[], *{_exact_calls(tmp_path)!r}]:
     assert result.returncode == 0, result.stderr
 
 
+def test_each_module_loads_only_what_it_imports():
+    # The package root re-exports nothing, so importing one module builds
+    # only that module and its own imports: the exact layer never loads the
+    # projector table, and the symbolic one neither the table nor numpy.
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(Path(spin7ac.__file__).parents[1])!r})
+import spin7ac.scalars
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'spin7ac')))
+from spin7ac import cones, homrep, moduli
+print(json.dumps(sorted({{'spin7ac.projectors', 'spin7ac.pitheta', 'numpy'}} & sys.modules.keys())))
+"""
+    result = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    scalars, symbolic = map(json.loads, result.stdout.splitlines())
+    assert scalars == ["spin7ac", "spin7ac.errors", "spin7ac.scalars"]
+    assert symbolic == []
+
+
 _PACKAGE = sorted(Path(spin7ac.__file__).parent.glob("*.py"))
 _TESTS = sorted(Path(__file__).parent.glob("*.py"))
 _PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
@@ -310,8 +329,7 @@ _TEST_ONLY = {
     ("cones", "RateClassification", "survivors"): "criterion 7: the surviving slots at (even, -4) and (odd, -3)",
     ("cones", "RateClassification", "forced_zero"): "criterion 7: the forced-zero slots at (even, -4) and (odd, -3)",
     ("cones", "HomogeneousConeForm", "slot"): "criterion 6: star^2 = (-1)^degree on each slot of the cone",
-    ("forms", "Matrix", "from_entries"): "criterion 3: the gl(8) basis whose action on psi0 has the 21-dim kernel spin(7)",
-    ("forms", "Matrix", "entry"): "the reference pullback and gl-action of tests/formref.py, read entry by entry",
+    ("forms", "Matrix", "from_entries"): "S^2_0 acts on psi0 into Lambda^4_35, and Lambda^4 g = compound4(g) on an exact g",
     ("homrep", "lambda_bar_of_rate"): "the obstruction constant lambda_bar of a rate, 0 at lambda = -10/3",
     ("homrep", "trivial_hom_data"): "the obstruction equation on the trivial representation",
     ("homrep", "CasimirRecord", "paper_lambda_printed"): "the paper's printed rate for (1,1,0), out of range",
@@ -320,7 +338,6 @@ _TEST_ONLY = {
     ("pitheta", "PiThetaResult", "a_stabiliser_component"): "the orbit part A has no spin(7) component",
     ("projectors", "g2_phi_seven"): "criterion 10: the re-indexed e1 -| psi0 frame the A-table fails",
     ("projectors", "ProjectorTable", "projector"): "criteria 1 and 2: the exact projectors as Fractions, P^4_35 = (Id - star)/2",
-    ("projectors", "Decomposition", "component"): "the type decomposition: an ASD 4-form is its own type-35 component",
     ("projectors", "Decomposition", "nonzero_labels"): "the type decomposition: psi0 is of type 1, v -| psi0 of type 8",
 }
 
@@ -371,6 +388,22 @@ def test_every_method_is_referenced():
     assert _unreferenced(_methods, _PACKAGE + _TESTS, _attributes) == []
     test_only = _unreferenced(_methods, _PACKAGE + _PERFBENCH, _attributes)
     assert test_only == sorted(key for key in _TEST_ONLY if len(key) == 3)
+
+
+def _record_fields(tree: ast.Module):
+    """Each field of a NamedTuple class, the _XFields bases of records included."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign):
+                    yield cls.name, node.target.id, node
+
+
+def test_every_record_field_is_read():
+    # A NamedTuple field that no code in src/, tests/ or perfbench/ reads as
+    # an attribute is data nothing uses; a read in the record's own methods
+    # (to_json) counts.
+    assert _unreferenced(_record_fields, _PACKAGE + _TESTS + _PERFBENCH, _attributes) == []
 
 
 def test_cone_op_subcommand(capsys, tmp_path):

@@ -653,8 +653,8 @@ def test_form_validation():
     with pytest.raises(InputError):
         Form(6, 2, {})
     assert Form(8, 2, {(1, 2): Scalar(0)}).is_zero()
-    # Matrix entries are 1-based; index 0 would wrap to row or column n.
-    assert Matrix.from_entries(8, {(8, 8): 1}).entry(8, 8) == Scalar(1)
+    # from_entries is 1-based: (8, 8) is the last cell; index 0 would wrap to row or column n.
+    assert Matrix.from_entries(8, {(8, 8): 1}).rows[7][7] == Scalar(1)
     for cell in ((0, 1), (1, 0), (9, 1), (1, 9), (-1, 2)):
         with pytest.raises(InputError, match="out of range 1..8"):
             Matrix.from_entries(8, {cell: 1})

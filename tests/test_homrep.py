@@ -429,8 +429,6 @@ def test_obstruction_linearity():
     for _ in range(10):
         s = Scalar(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
         scaled = HomData(
-            name="scaled",
-            hom_dimension=1,
             action={key: value.scale(s) for key, value in ud.action.items()},
             direct={key: value.scale(s) for key, value in ud.direct.items()},
         )

@@ -22,6 +22,7 @@ from spin7ac.forms import (
     inner_product,
     interior_product,
     monomial_basis,
+    rho,
     wedge,
 )
 from spin7ac.projectors import (
@@ -108,7 +109,7 @@ def test_decompose_examples(table):
     asd = Form.monomial(8, (1, 2, 3, 4)) - Form.monomial(8, (5, 6, 7, 8))
     d = decompose(asd)
     assert d.nonzero_labels() == [(4, 35)]
-    assert d.component(35) == asd
+    assert d.components[(4, 35)] == asd
 
 
 def test_decompose_components_sum_and_are_fixed(table):
@@ -140,15 +141,17 @@ def test_lambda2_21_is_stabiliser_algebra(table):
 def test_gl8_kernel_dimension_21():
     # On all of gl(8): kernel dimension 21, image dimension 43
     # (the orbit of psi0 has codimension 27 in the 70-dimensional space).
-    psi = psi0()
-    basis4 = monomial_basis(8, 4)
+    # Column E_ij is rho_4(E_ij) psi0, the gl(8)-action the pipeline uses.
+    psi = [c.as_fraction() for c in form_to_coefficients(psi0(), monomial_basis(8, 4))]
     columns = []
-    for i in range(1, 9):
-        for j in range(1, 9):
-            image = gl_inf_action(Matrix.from_entries(8, {(i, j): 1}), psi)
-            columns.append(
-                [c.as_fraction() for c in form_to_coefficients(image, basis4)]
-            )
+    for i in range(8):
+        for j in range(8):
+            unit = ratmat.zeros(8, 8)
+            unit[i][j] = 1
+            column = [Fraction(0)] * len(psi)
+            for (row, col), value in rho(4, unit).items():
+                column[row] += value * psi[col]
+            columns.append(column)
     matrix = ratmat.transpose(columns)  # 70 x 64
     kernel = ratref.nullspace(matrix)
     assert len(kernel) == 21
@@ -164,6 +167,35 @@ def test_lambda2_bases_have_full_rank_and_are_fixed(table):
         p = table.projector(2, dim)
         for v in vectors:
             assert [ratref.dot(row, v) for row in p] == v
+
+
+def _lie_closure(generators: list[list[list[int]]]) -> list[list[int]]:
+    """A basis, as flat 64-vectors, of the span of the generators and all
+    their iterated brackets [g1, [g2, ... [gk, g]]], in integer 8x8 products."""
+
+    def bracket(x, y):
+        return [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(8)) for j in range(8)] for i in range(8)]
+
+    span, frontier = [], generators
+    while frontier:
+        new = []
+        for m in frontier:
+            flat = [x for row in m for x in row]
+            if ratref.rank([*span, flat]) > len(span):
+                span.append(flat)
+                new.append(m)
+        frontier = [bracket(g, m) for m in new for g in generators]
+    return span
+
+
+def test_three_lambda2_21_matrices_generate_spin7(table):
+    # spin(7) = Lambda^2_21 is generated as a Lie algebra by three of its
+    # basis matrices: their brackets span all 21 dimensions and stay inside.
+    spin7 = [[x for row in m for x in row] for m in table.lambda2_21_matrices]
+    closure = _lie_closure(table.lambda2_21_matrices[:3])
+    assert len(closure) == 21 and ratref.rank(closure + spin7) == 21
+    # two are not enough for these pairs
+    assert [len(_lie_closure([table.lambda2_21_matrices[0], table.lambda2_21_matrices[b]])) for b in (1, 20)] == [6, 5]
 
 
 def test_build_needs_no_elimination():
